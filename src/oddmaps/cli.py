@@ -14,7 +14,9 @@ verify      run the branching-parity cross-validation sweep
 
 Output is text by default; ``--format json`` and ``--format csv`` emit
 machine-readable forms with a fixed key vocabulary. Exit codes: 0 on
-success, 1 when a verify sweep found mismatches, 2 on usage errors.
+success, 1 when a verify sweep found mismatches, 2 on usage errors, 3 when
+an internal invariant check failed (the error and the command line that
+reproduces it go to stderr).
 Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 ``[]`` is the empty partition. ``ODDMAPS_MAX_N`` (default 40) caps the n
 accepted by the sweeping commands.
@@ -27,6 +29,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import sys
 from typing import Any
 
@@ -202,6 +205,10 @@ def _cmd_witness(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def _cmd_tower(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    # Row k holds 2^k entries and lies past the first all-empty row once
+    # 2^(k-1) > max(|lambda|, 1); compared by bit length so no 2^k is built.
+    if args.k > max(args.lam.size, 1).bit_length():
+        parser.error(f"k={args.k} lies past the first all-empty tower row of {args.lam}")
     data = k_data(args.lam, args.k)
     table = [_plist(row) for row in data.core_rows] + [_plist(data.quotient_row.entries)]
     payload = {"lambda": list(args.lam.parts), "k": args.k, "result": table}
@@ -302,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -309,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"command: oddmaps {shlex.join(argv)}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -2,10 +2,14 @@
 
 An odd partition of n has exactly one hook of length 2^k whose removal
 leaves an odd partition; removing it is the restriction map down to
-n - 2^k. Two independent routes compute it here: exhaustive hook
-enumeration with an oddness filter (reference semantics), and a tower
-route that removes a single cell from the right entry of quotient row k
-and rebuilds. Disagreement between the routes is a hard failure.
+n - 2^k. Production code computes it with one route on the abacus:
+removing a 2^k-hook slides one bead of the beta-set down by 2^k, and the
+map keeps the one slide whose result passes the abacus oddness count.
+Two references stay for the tests and ``oddmaps verify``: exhaustive hook
+enumeration with an oddness filter (:func:`odd_hook_removals`), and a
+tower route that removes a single cell from the right entry of quotient
+row k and rebuilds (:func:`remove_odd_hook_via_tower`). The branching
+oracle checks the map independently of both.
 
 On top of the map sit the classification results this package exists to
 verify: fiber sizes are always 0, 2 or 2^k and are predicted without
@@ -19,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .oddity import d_good, dnk, is_odd, odd_partitions
+from .oddity import _is_odd_beta, d_good, dnk, is_odd, odd_partitions
 from .partition import (
     Partition,
     all_two_disjoint,
+    beta_set,
     hooks_of_length,
+    partition_from_beta,
     remove_hook,
 )
 from .quotient import KData, from_core_quotient, k_data, partition_from_kdata, tower_row
@@ -107,32 +113,33 @@ def odd_hook_removals(lam: Partition, k: int) -> tuple[Partition, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def remove_odd_hook(lam: Partition, k: int) -> Partition:
     """Remove the unique 2^k-hook of the odd partition ``lam`` whose removal
     stays odd.
 
     Accepts 2^k equal to the size of ``lam`` (the result is then empty), so
-    that compositions with 2^k + 2^l = n stay inside the domain. For k >= 1
-    the result is cross-checked against the tower route.
+    that compositions with 2^k + 2^l = n stay inside the domain. Each
+    2^k-hook is a slide of a bead b to a free position b - 2^k; exactly one
+    slide may leave an odd partition.
     """
-    if not is_odd(lam):
+    beta = beta_set(lam)
+    if not _is_odd_beta(beta):
         raise ValueError("the map is defined for odd partitions")
-    if (1 << k) > lam.size:
+    step = 1 << k
+    if step > lam.size:
         raise ValueError("2^k exceeds the partition size")
-    candidates = odd_hook_removals(lam, k)
-    if len(candidates) != 1:
+    occupied = set(beta)
+    slides = []
+    for i, b in enumerate(beta):
+        if b >= step and b - step not in occupied:
+            moved = beta[:i] + (b - step,) + beta[i + 1 :]
+            if _is_odd_beta(moved):
+                slides.append(moved)
+    if len(slides) != 1:
         raise RuntimeError(
-            f"{lam} has {len(candidates)} odd 2^{k}-hook removals, expected exactly 1"
+            f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
         )
-    result = candidates[0]
-    if k >= 1:
-        alt = remove_odd_hook_via_tower(lam, k)
-        if alt != result:
-            raise RuntimeError(
-                f"hook enumeration gave {result} but the tower route gave {alt}"
-            )
-    return result
+    return partition_from_beta(slides[0])
 
 
 def remove_odd_hook_via_tower(lam: Partition, k: int) -> Partition:

@@ -1,11 +1,17 @@
 """Oddness predicates, odd-partition enumeration, and goodness bookkeeping.
 
 A partition labels an odd-degree character exactly when every row of its
-2-core tower has weight at most 1. That criterion drives two enumerators:
-a filter over all partitions (reference) and a constructive one that places
-a single 1-cell core in row k of the tower for each binary digit 2^k of n
-and rebuilds the partition. The constructive route is authoritative for
-large n; agreement of the two is a standing test.
+2-core tower has weight at most 1. Production code decides that on the
+abacus: the weight of tower row k depends only on how many beads of a
+beta-set fall in each residue class mod 2^(k+1), so no tower is built.
+The tower route (``core_tower`` and :func:`is_odd_via_row`) stays as the
+reference that the tests and ``oddmaps verify`` compare the count against.
+
+Two enumerators use the criterion: a filter over all partitions (reference)
+and a constructive one that places a single 1-cell core in row k of the
+tower for each binary digit 2^k of n and rebuilds the partition. The
+constructive route is authoritative for large n; agreement of the two is a
+standing test.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from functools import lru_cache
 from .partition import (
     Partition,
     all_two_disjoint,
+    beta_set,
     binary_digits,
     is_hook_partition,
     nu2,
@@ -56,14 +63,39 @@ class DnkDecomposition:
     m: int
 
 
-@lru_cache(maxsize=None)
+def _is_odd_beta(beta: tuple[int, ...]) -> bool:
+    """Oddness of the partition with beta-set ``beta``, on the abacus.
+
+    Each entry of quotient-tower row k is read off the beads in one residue
+    class r mod 2^k. Those at r and at r + 2^k mod 2^(k+1) become its even
+    and odd beads, a and c of them, so its 2-core has
+    a(a-1) + c^2 - (a+c)(a+c-1)/2 cells. Row k's weight is the sum over
+    r < 2^k; rows with 2^k above the partition's size n weigh nothing.
+    """
+    s = len(beta)
+    n = sum(beta) - s * (s - 1) // 2
+    half = 1
+    while half <= n:
+        mask = 2 * half - 1
+        counts = [0] * (2 * half)
+        for b in beta:
+            counts[b & mask] += 1
+        weight = 0
+        for a, c in zip(counts[:half], counts[half:]):
+            weight += a * (a - 1) + c * c - (a + c) * (a + c - 1) // 2
+        if weight > 1:
+            return False
+        half *= 2
+    return True
+
+
 def is_odd(lam: Partition) -> bool:
     """True iff the character labelled by ``lam`` has odd degree.
 
     Every 2-core tower row must have weight at most 1; the empty partition
     counts as odd.
     """
-    return all(w <= 1 for w in core_tower(lam).weights)
+    return _is_odd_beta(beta_set(lam))
 
 
 def is_odd_via_row(lam: Partition, k: int) -> bool:

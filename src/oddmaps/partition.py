@@ -16,8 +16,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "Partition",
     "Hook",
-    "BinaryFacts",
-    "BinaryRelation",
     "beta_set",
     "partition_from_beta",
     "hook_lengths",
@@ -26,7 +24,6 @@ __all__ = [
     "nu2",
     "nu2_degree",
     "is_hook_partition",
-    "binary_relation",
     "binary_digits",
     "all_two_disjoint",
     "partitions_of",
@@ -115,26 +112,6 @@ class Hook:
         return self.arm + self.leg + 1
 
 
-@dataclass(frozen=True)
-class BinaryFacts:
-    """A non-negative integer together with its set of binary digits."""
-
-    value: int
-    digits: frozenset[int]
-
-    @classmethod
-    def of(cls, value: int) -> "BinaryFacts":
-        if value < 0:
-            raise ValueError("binary digits are defined for non-negative integers")
-        return cls(value, frozenset(binary_digits(value)))
-
-
-@dataclass(frozen=True)
-class BinaryRelation:
-    subsum: bool
-    disjoint: bool
-
-
 def binary_digits(n: int) -> tuple[int, ...]:
     """The powers of two in the binary expansion of n, largest first."""
     if n < 0:
@@ -145,13 +122,6 @@ def binary_digits(n: int) -> tuple[int, ...]:
         digits.append(low)
         n -= low
     return tuple(reversed(digits))
-
-
-def binary_relation(m: int, n: int) -> BinaryRelation:
-    """Whether m is a binary subsum of n, and whether m and n are 2-disjoint."""
-    if m < 0 or n < 0:
-        raise ValueError("binary relations are defined for non-negative integers")
-    return BinaryRelation(subsum=(m & n) == m, disjoint=(m & n) == 0)
 
 
 def all_two_disjoint(values: Iterable[int]) -> bool:

@@ -10,12 +10,15 @@ well defined. A regression test pins the convention against a worked
 Towers iterate the e = 2 decomposition: row k of the quotient tower holds
 2^k partitions, obtained by replacing each entry of row k-1 with its
 2-quotient pair; the core tower records the 2-cores of those entries.
+Production code never builds a tower: oddness and the removal map work
+on bead counts of a beta-set. The towers here are the reference route
+that the tests and ``oddmaps verify`` check those counts against, and the
+k-data tables that rebuild partitions and that the ``tower`` command prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .partition import (
     Partition,
@@ -39,8 +42,6 @@ __all__ = [
     "partition_from_kdata",
     "is_two_core",
 ]
-
-_EMPTY = Partition(())
 
 
 @dataclass(frozen=True)
@@ -152,32 +153,36 @@ def from_core_quotient(
     return partition_from_beta(beta)
 
 
-@lru_cache(maxsize=None)
+def _descend(
+    entries: tuple[Partition, ...],
+) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
+    """The 2-cores of one tower row and the row below it, one split per entry."""
+    split = [core_and_quotient(p, 2) for p in entries]
+    return tuple(cq.core for cq in split), tuple(q for cq in split for q in cq.quotient)
+
+
 def tower_row(lam: Partition, k: int) -> QuotientTowerRow:
     """Row k of the 2-quotient tower of ``lam`` (row 0 is (lam,))."""
     if k < 0:
         raise ValueError("tower rows are indexed by non-negative integers")
-    if k == 0:
-        return QuotientTowerRow(0, (lam,))
-    prev = tower_row(lam, k - 1)
-    entries = tuple(q for p in prev.entries for q in e_quotient(p, 2))
+    entries = (lam,)
+    for _ in range(k):
+        entries = _descend(entries)[1]
     return QuotientTowerRow(k, entries)
 
 
-@lru_cache(maxsize=None)
 def core_tower(lam: Partition) -> CoreTower:
     """The 2-core tower, cut off at the first all-empty tower row."""
     rows = []
     weights = []
-    k = 0
+    entries = (lam,)
     while True:
-        entries = tower_row(lam, k).entries
-        cores = tuple(e_core(p, 2) for p in entries)
+        cores, below = _descend(entries)
         rows.append(cores)
         weights.append(sum(c.size for c in cores))
         if all(p.size == 0 for p in entries):
             break
-        k += 1
+        entries = below
     while weights and weights[-1] == 0:
         weights.pop()
     return CoreTower(rows=tuple(rows), weights=tuple(weights))
@@ -187,12 +192,12 @@ def k_data(lam: Partition, k: int) -> KData:
     """Core rows 0..k-1 together with quotient row k."""
     if k < 1:
         raise ValueError("k-data defined for k > 0")
-    tower = core_tower(lam)
-    core_rows = tuple(
-        tower.rows[j] if j < len(tower.rows) else (_EMPTY,) * (1 << j)
-        for j in range(k)
-    )
-    return KData(k=k, core_rows=core_rows, quotient_row=tower_row(lam, k))
+    core_rows = []
+    entries = (lam,)
+    for _ in range(k):
+        cores, entries = _descend(entries)
+        core_rows.append(cores)
+    return KData(k=k, core_rows=tuple(core_rows), quotient_row=QuotientTowerRow(k, entries))
 
 
 def is_two_core(lam: Partition) -> bool:

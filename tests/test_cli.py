@@ -169,6 +169,19 @@ def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
     assert "mismatches: 1" in out
 
 
+def test_invariant_failure_exit_3(capsys, monkeypatch):
+    def broken(lam, k):
+        raise RuntimeError("2 odd 2^2-hook removals, expected exactly 1")
+
+    monkeypatch.setattr("oddmaps.cli.remove_odd_hook", broken)
+    argv = ["fk", "--n", "15", "--k", "2", "--lambda", "[5,4,2,2,1,1]"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: 2 odd 2^2-hook removals" in captured.err
+    assert "oddmaps fk --n 15 --k 2 --lambda '[5,4,2,2,1,1]'" in captured.err
+
+
 def test_csv_output_parses(capsys):
     import csv
     import io
@@ -199,6 +212,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "odd-list", "--n", "99")
     assert code == 2
+    code, _ = run_cli(capsys, "tower", "--lambda", "[1]", "--k", "12")
+    assert code == 2
+    code, _ = run_cli(capsys, "tower", "--lambda", "[5,4,2,2,1,1]", "--k", "5")
+    assert code == 2
+    code, _ = run_cli(capsys, "tower", "--lambda", "[5,4,2,2,1,1]", "--k", "4")
+    assert code == 0
 
 
 def test_sweep_cap_env_override(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import commute_instances
@@ -53,6 +55,19 @@ def test_both_routes_agree():
             k = 1
             while (1 << k) < n:
                 assert remove_odd_hook_via_tower(lam, k) == remove_odd_hook(lam, k)
+                k += 1
+
+
+def test_remove_odd_hook_matches_references_at_large_n():
+    rng = random.Random(1705)
+    for n in (40, 41, 48, 49):
+        for lam in rng.sample(odd_partitions(n), 16):
+            k = 0
+            while (1 << k) <= n:
+                got = remove_odd_hook(lam, k)
+                assert odd_hook_removals(lam, k) == (got,), (lam, k)
+                if k >= 1:
+                    assert remove_odd_hook_via_tower(lam, k) == got, (lam, k)
                 k += 1
 
 

@@ -5,6 +5,7 @@ import pytest
 from oddmaps import (
     Partition,
     all_two_disjoint,
+    core_tower,
     d_good,
     dnk,
     e_core,
@@ -32,6 +33,12 @@ def test_is_odd_matches_degree_parity():
     for n in range(1, 21):
         for lam in partitions_of(n):
             assert is_odd(lam) == (nu2_degree(lam) == 0), lam
+
+
+def test_is_odd_matches_core_tower():
+    for n in range(21):
+        for lam in partitions_of(n):
+            assert is_odd(lam) == all(w <= 1 for w in core_tower(lam).weights), lam
 
 
 def test_is_odd_via_row_examples():

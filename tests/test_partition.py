@@ -5,12 +5,10 @@ from collections import Counter
 import pytest
 
 from oddmaps import (
-    BinaryFacts,
     Hook,
     Partition,
     beta_set,
     binary_digits,
-    binary_relation,
     hook_lengths,
     hooks_of_length,
     is_hook_partition,
@@ -136,35 +134,19 @@ def test_factorial_valuation_identity():
         assert n - bin(n).count("1") == direct
 
 
-def test_binary_relation_examples():
-    r = binary_relation(5, 7)
-    assert r.subsum and not r.disjoint
-    r = binary_relation(2, 5)
-    assert not r.subsum and r.disjoint
-    for n in (0, 1, 13):
-        r = binary_relation(0, n)
-        assert r.subsum and r.disjoint
-
-
 def test_binary_digit_sets_compose():
+    assert binary_digits(12) == (8, 4)
+    assert binary_digits(0) == ()
     for n in range(257):
         dn = set(binary_digits(n))
+        assert sum(dn) == n
         for m in range(n + 1):
             dm = set(binary_digits(m))
-            r = binary_relation(m, n)
-            assert r.subsum == (dm <= dn)
-            assert r.disjoint == (not (dm & dn))
-            if r.subsum:
+            assert set(binary_digits(m & n)) == dm & dn
+            if m & n == m:
                 rest = set(binary_digits(n - m))
                 assert rest | dm == dn
                 assert not (rest & dm)
-
-
-def test_binary_facts():
-    facts = BinaryFacts.of(12)
-    assert facts.digits == frozenset({8, 4})
-    assert sum(facts.digits) == facts.value
-    assert BinaryFacts.of(0).digits == frozenset()
 
 
 def test_is_hook_partition():
