@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .oddity import _is_odd_beta, d_good, dnk, is_odd, odd_partitions
+from .oddity import _is_odd_beta, _odd_slides, d_good, dnk, is_odd, odd_partitions
 from .partition import (
     Partition,
     all_two_disjoint,
@@ -78,7 +78,7 @@ class CommuteInstance:
     def __post_init__(self) -> None:
         if not 0 <= self.k < self.l:
             raise ValueError("need 0 <= k < l")
-        if (1 << self.k) + (1 << self.l) > self.n:
+        if self.l >= self.n.bit_length() or (1 << self.k) + (1 << self.l) > self.n:
             raise ValueError("need 2^k + 2^l <= n")
 
     @property
@@ -125,16 +125,9 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     beta = beta_set(lam)
     if not _is_odd_beta(beta):
         raise ValueError("the map is defined for odd partitions")
-    step = 1 << k
-    if step > lam.size:
+    if k >= lam.size.bit_length():
         raise ValueError("2^k exceeds the partition size")
-    occupied = set(beta)
-    slides = []
-    for i, b in enumerate(beta):
-        if b >= step and b - step not in occupied:
-            moved = beta[:i] + (b - step,) + beta[i + 1 :]
-            if _is_odd_beta(moved):
-                slides.append(moved)
+    slides = _odd_slides(beta, -(1 << k))
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
@@ -187,7 +180,7 @@ def _fiber_map(n: int, k: int) -> dict[Partition, tuple[Partition, ...]]:
 
 
 def _check_fiber_args(mu: Partition, n: int, k: int) -> None:
-    if k < 0 or n < 1 or (1 << k) > n:
+    if k < 0 or n < 1 or k >= n.bit_length():
         raise ValueError("need n >= 1 and 2^k <= n")
     if mu.size != n - (1 << k):
         raise ValueError(f"mu must be a partition of {n - (1 << k)}, got size {mu.size}")
@@ -214,7 +207,7 @@ def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
 
 def image_misses(n: int, k: int) -> tuple[Partition, ...]:
     """Odd partitions of n - 2^k with empty fiber, descending lexicographic."""
-    if (1 << k) >= n:
+    if n < 1 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")
     return tuple(
         mu for mu in odd_partitions(n - (1 << k)) if fiber_size_formula(mu, n, k) == 0
@@ -228,7 +221,7 @@ def is_surjective(n: int, k: int, verify: bool = False) -> bool:
     k > 0. With ``verify`` the criterion is checked against the actual
     image misses; disagreement would refute the classification.
     """
-    if (1 << k) >= n:
+    if n < 1 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")
     d = dnk(n, k).d
     criterion = d <= 2 if k == 0 else d <= 1

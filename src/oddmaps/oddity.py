@@ -8,15 +8,15 @@ The tower route (``core_tower`` and :func:`is_odd_via_row`) stays as the
 reference that the tests and ``oddmaps verify`` compare the count against.
 
 Two enumerators use the criterion: a filter over all partitions (reference)
-and a constructive one that places a single 1-cell core in row k of the
-tower for each binary digit 2^k of n and rebuilds the partition. The
-constructive route is authoritative for large n; agreement of the two is a
-standing test.
+and a constructive one on the abacus. With 2^t the top binary digit of n,
+every odd partition of n is one of the 2^t odd 2^t-hook additions to an odd
+partition of n - 2^t, and adding a 2^t-hook slides one bead b up to a free
+b + 2^t. The constructive route is authoritative for large n; agreement of
+the two is a standing test.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,20 +24,12 @@ from .partition import (
     Partition,
     all_two_disjoint,
     beta_set,
-    binary_digits,
     is_hook_partition,
     nu2,
+    partition_from_beta,
     partitions_of,
 )
-from .quotient import (
-    KData,
-    QuotientTowerRow,
-    core_tower,
-    e_core,
-    k_data,
-    partition_from_kdata,
-    tower_row,
-)
+from .quotient import core_tower, e_core, tower_row
 
 __all__ = [
     "DnkDecomposition",
@@ -50,7 +42,6 @@ __all__ = [
 ]
 
 _EMPTY = Partition(())
-_ONE = Partition((1,))
 
 
 @dataclass(frozen=True)
@@ -89,6 +80,24 @@ def _is_odd_beta(beta: tuple[int, ...]) -> bool:
     return True
 
 
+def _odd_slides(beta: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
+    """Every beta-set reached from ``beta`` by sliding one bead b to a free
+    position b + step >= 0 whose partition passes :func:`_is_odd_beta`.
+
+    A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in place,
+    so a slide up may leave the tuple out of order.
+    """
+    occupied = set(beta)
+    slides = []
+    for i, b in enumerate(beta):
+        c = b + step
+        if c >= 0 and c not in occupied:
+            moved = beta[:i] + (c,) + beta[i + 1 :]
+            if _is_odd_beta(moved):
+                slides.append(moved)
+    return slides
+
+
 def is_odd(lam: Partition) -> bool:
     """True iff the character labelled by ``lam`` has odd degree.
 
@@ -120,27 +129,25 @@ def is_odd_via_row(lam: Partition, k: int) -> bool:
 def odd_partitions(n: int) -> tuple[Partition, ...]:
     """All odd partitions of n, descending lexicographic.
 
-    Constructive enumeration: for each binary digit 2^j of n choose which
-    of the 2^j cores in tower row j is the single cell, then rebuild the
-    partition from that tower data. Produces exactly prod(2^j) partitions.
+    With 2^t the top binary digit of n, every odd partition of n - 2^t has
+    exactly 2^t odd 2^t-hook additions, each a slide of one bead up by 2^t
+    on a beta-set padded by 2^t beads; together they give every odd
+    partition of n once, prod(2^j) over the binary digits 2^j of n.
     """
     if n < 0:
         raise ValueError("partitions are defined for non-negative integers")
     if n == 0:
         return (_EMPTY,)
-    exponents = [d.bit_length() - 1 for d in binary_digits(n)]
-    t = max(exponents)
+    t = n.bit_length() - 1
+    step = 1 << t
     found = []
-    for choice in itertools.product(*(range(1 << j) for j in exponents)):
-        core_rows = [[_EMPTY] * (1 << j) for j in range(t + 1)]
-        for j, pos in zip(exponents, choice):
-            core_rows[j][pos] = _ONE
-        data = KData(
-            k=t + 1,
-            core_rows=tuple(tuple(row) for row in core_rows),
-            quotient_row=QuotientTowerRow(t + 1, (_EMPTY,) * (1 << (t + 1))),
-        )
-        found.append(partition_from_kdata(data))
+    for mu in odd_partitions(n - step):
+        slides = _odd_slides(beta_set(mu, len(mu) + step), step)
+        if len(slides) != step:
+            raise RuntimeError(
+                f"{mu} has {len(slides)} odd 2^{t}-hook additions, expected {step}"
+            )
+        found.extend(partition_from_beta(beta) for beta in slides)
     return tuple(sorted(found, reverse=True))
 
 
@@ -173,7 +180,7 @@ def dnk(n: int, k: int) -> DnkDecomposition:
     """The depth d = nu2(floor(n / 2^k)) and remainder m of the split."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    if (1 << k) > n:
+    if k >= n.bit_length():
         raise ValueError("floor(n / 2^k) = 0, nu2 undefined")
     q = n >> k
     d = nu2(q)

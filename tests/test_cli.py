@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,27 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "tower", "--lambda", "[5,4,2,2,1,1]", "--k", "4")
     assert code == 0
+
+
+def test_huge_k_exits_2_without_building_2_to_the_k(capsys):
+    huge = "200000000"
+    cases = [
+        ("fk", "--n", "15", "--k", huge, "--lambda", "[5,4,2,2,1,1]"),
+        ("fiber", "--n", "6", "--k", huge, "--mu", "[2]"),
+        ("image", "--n", "6", "--k", huge),
+        ("surjective", "--n", "8", "--k", huge),
+        ("commute", "--n", "12", "--k", "0", "--l", huge),
+        ("witness", "--n", "13", "--k", "0", "--l", huge),
+    ]
+    for argv in cases:
+        tracemalloc.start()
+        try:
+            code, _ = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2, argv
+        assert peak < 1 << 20, (argv, peak)
 
 
 def test_sweep_cap_env_override(capsys, monkeypatch):

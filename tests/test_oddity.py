@@ -70,12 +70,21 @@ def test_odd_partitions_agree_with_filter():
 
 
 def test_odd_count_law():
-    for n in range(1, 41):
+    for n in [*range(1, 41), 48, 49, 63]:
         expected = 1
         for j in range(n.bit_length()):
             if n & (1 << j):
                 expected <<= j
         assert len(odd_partitions(n)) == expected, n
+
+
+def test_odd_partitions_past_acceptance_range():
+    for n in (48, 49, 63):
+        members = odd_partitions(n)
+        assert len(set(members)) == len(members), n
+        assert all(lam.size == n for lam in members), n
+        if n < 63:
+            assert all(nu2_degree(lam) == 0 for lam in members), n
 
 
 def test_row_sum_law():

@@ -1,0 +1,60 @@
+"""Property tests across representations: partitions and beta-sets, the
+abacus oddness count against the core tower and the degree valuation, and
+the bead-slide map against hook enumeration."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oddmaps import (
+    Partition,
+    beta_set,
+    core_tower,
+    is_odd,
+    nu2_degree,
+    odd_hook_removals,
+    odd_partitions,
+    partition_from_beta,
+    remove_odd_hook,
+)
+
+# Reproducible draws, and no example database written to the checkout.
+reproducible = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def partitions(draw, max_size=60):
+    parts = []
+    room = draw(st.integers(0, max_size))
+    while room:
+        part = draw(st.integers(1, room))
+        parts.append(part)
+        room -= part
+    return Partition(sorted(parts, reverse=True))
+
+
+@st.composite
+def odd_members(draw, min_size=0, max_size=63):
+    members = odd_partitions(draw(st.integers(min_size, max_size)))
+    return members[draw(st.integers(0, len(members) - 1))]
+
+
+@reproducible
+@given(partitions(), st.integers(0, 40))
+def test_beta_set_round_trip(lam, padding):
+    assert partition_from_beta(beta_set(lam, len(lam) + padding)) == lam
+
+
+@reproducible
+@given(st.one_of(partitions(), odd_members(max_size=60)))
+def test_abacus_oddness_matches_core_tower_and_degree(lam):
+    odd = is_odd(lam)
+    assert odd == all(w <= 1 for w in core_tower(lam).weights)
+    if lam.size:
+        assert odd == (nu2_degree(lam) == 0)
+
+
+@reproducible
+@given(odd_members(min_size=1), st.data())
+def test_remove_odd_hook_matches_hook_enumeration(lam, data):
+    k = data.draw(st.integers(0, lam.size.bit_length() - 1))
+    assert odd_hook_removals(lam, k) == (remove_odd_hook(lam, k),)
