@@ -158,6 +158,88 @@ def test_verify_command(capsys):
     assert payload["report"]["checks_run"] > 0
 
 
+GOLDEN = [
+    pytest.param(
+        ["fk", "--n", "15", "--k", "2", "--lambda", "[5,4,2,2,1,1]", "--format", "csv"],
+        'n,k,lambda,result\r\n15,2,"[5,4,2,2,1,1]","[3,2,2,2,1,1]"\r\n',
+        id="fk-csv",
+    ),
+    pytest.param(
+        ["surjective", "--n", "8", "--k", "0", "--format", "csv"],
+        "n,k,d,result\r\n8,0,3,False\r\n",
+        id="surjective-csv",
+    ),
+    pytest.param(
+        ["commute", "--n", "6", "--k", "0", "--l", "1", "--format", "csv"],
+        "n,k,l,commutes,witness\r\n6,0,1,True,\r\n",
+        id="commute-csv-commuting",
+    ),
+    pytest.param(
+        ["commute", "--n", "12", "--k", "1", "--l", "2", "--format", "csv"],
+        'n,k,l,commutes,witness\r\n12,1,2,False,"[8,4]"\r\n',
+        id="commute-csv-not-commuting",
+    ),
+    pytest.param(
+        ["witness", "--n", "13", "--k", "0", "--l", "2", "--format", "csv"],
+        'n,k,l,witness\r\n13,0,2,"[5,5,1,1,1]"\r\n',
+        id="witness-csv",
+    ),
+    pytest.param(
+        ["tower", "--lambda", "[5,4,2,2,1,1]", "--k", "2", "--format", "csv"],
+        '[1]\r\n[],[1]\r\n"[1,1]",[1],[],[]\r\n',
+        id="tower-csv",
+    ),
+    pytest.param(
+        ["verify", "--max-n", "8", "--format", "csv"],
+        "n_max,checks_run,mismatches\r\n8,164,0\r\n",
+        id="verify-csv",
+    ),
+    pytest.param(
+        ["odd-list", "--n", "4"],
+        "[4]\n[3,1]\n[2,1,1]\n[1,1,1,1]\n",
+        id="odd-list-text",
+    ),
+    pytest.param(
+        ["odd-list", "--n", "0", "--format", "csv"],
+        "partition\r\n[]\r\n",
+        id="odd-list-csv-empty-partition",
+    ),
+    pytest.param(
+        ["image", "--n", "8", "--k", "0"],
+        "[4,2,1]\n[3,3,1]\n[3,2,2]\n[3,2,1,1]\n",
+        id="image-text",
+    ),
+    pytest.param(["image", "--n", "6", "--k", "2"], "\n", id="image-text-empty"),
+    pytest.param(
+        ["image", "--n", "6", "--k", "2", "--format", "csv"],
+        "partition\r\n",
+        id="image-csv-empty",
+    ),
+    pytest.param(
+        ["commute", "--n", "6", "--k", "0", "--l", "1"],
+        "commutes: true\n",
+        id="commute-text-no-witness",
+    ),
+    pytest.param(
+        ["commute", "--n", "12", "--k", "1", "--l", "2"],
+        "commutes: false\nwitness: [8,4]\n",
+        id="commute-text-witness",
+    ),
+    pytest.param(
+        ["verify", "--max-n", "8"],
+        "checks run: 164\nmismatches: 0\n",
+        id="verify-text",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN)
+def test_golden_output(capsys, argv, expected):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
     fake = ParityReport(
         n_max=4,
@@ -167,7 +249,19 @@ def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
     monkeypatch.setattr("oddmaps.cli.cross_validate", lambda n, jobs=1: fake)
     code, out = run_cli(capsys, "verify", "--max-n", "4")
     assert code == 1
-    assert "mismatches: 1" in out
+    assert out == "checks run: 1\nmismatches: 1\n  [2,1] k=0: expected [2], got [1,1]\n"
+    code, out = run_cli(capsys, "verify", "--max-n", "4", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "report": {
+            "n_max": 4,
+            "checks_run": 1,
+            "mismatches": [{"lambda": [2, 1], "k": 0, "expected": "[2]", "got": "[1,1]"}],
+        }
+    }
+    code, out = run_cli(capsys, "verify", "--max-n", "4", "--format", "csv")
+    assert code == 1
+    assert out == "n_max,checks_run,mismatches\r\n4,1,1\r\n"
 
 
 def test_invariant_failure_exit_3(capsys, monkeypatch):
