@@ -4,12 +4,15 @@ The package computes the odd-hook removal maps on odd partitions and
 verifies their classification (images, fiber sizes, surjectivity,
 commutativity) exhaustively against an independent branching-parity
 oracle. See the ``oddmaps`` CLI for the command-line surface.
+
+The package root exports the objects and maps the paper is about, the
+references that check them, and ``cross_validate``. Everything else,
+such as the quotient towers, the hook primitives and the oracle's parts,
+is imported from its submodule.
 """
 
 from .maps import (
     CommuteInstance,
-    CommuteVerdict,
-    Fiber,
     commute_verdict,
     counterexample_witness,
     fiber,
@@ -21,90 +24,23 @@ from .maps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
-from .oddity import (
-    d_good,
-    dnk,
-    is_odd,
-    is_odd_via_row,
-    odd_partitions,
-    odd_partitions_by_filter,
-)
-from .oracle import (
-    Mismatch,
-    ParityReport,
-    cross_validate,
-    skew_syt_parity,
-    unique_odd_constituent,
-)
-from .partition import (
-    Hook,
-    Partition,
-    all_two_disjoint,
-    beta_set,
-    binary_digits,
-    hook_lengths,
-    hooks_of_length,
-    is_hook_partition,
-    nu2,
-    nu2_degree,
-    partition_from_beta,
-    partitions_of,
-    remove_hook,
-)
-from .quotient import (
-    CoreQuotient,
-    CoreTower,
-    KData,
-    QuotientTowerRow,
-    core_and_quotient,
-    core_tower,
-    e_core,
-    e_quotient,
-    from_core_quotient,
-    is_two_core,
-    k_data,
-    partition_from_kdata,
-    tower_row,
-)
+from .oddity import dnk, is_odd, odd_partitions, odd_partitions_by_filter
+from .oracle import cross_validate
+from .partition import Partition, nu2_degree, partitions_of
+from .quotient import k_data
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Partition",
-    "Hook",
-    "beta_set",
-    "partition_from_beta",
-    "hook_lengths",
-    "hooks_of_length",
-    "remove_hook",
-    "nu2",
     "nu2_degree",
-    "is_hook_partition",
-    "binary_digits",
-    "all_two_disjoint",
     "partitions_of",
-    "CoreQuotient",
-    "QuotientTowerRow",
-    "CoreTower",
-    "KData",
-    "core_and_quotient",
-    "e_core",
-    "e_quotient",
-    "from_core_quotient",
-    "tower_row",
-    "core_tower",
     "k_data",
-    "partition_from_kdata",
-    "is_two_core",
     "is_odd",
-    "is_odd_via_row",
     "odd_partitions",
     "odd_partitions_by_filter",
-    "d_good",
     "dnk",
-    "Fiber",
     "CommuteInstance",
-    "CommuteVerdict",
     "odd_hook_removals",
     "remove_odd_hook",
     "remove_odd_hook_via_tower",
@@ -115,9 +51,5 @@ __all__ = [
     "predicted_commute",
     "commute_verdict",
     "counterexample_witness",
-    "Mismatch",
-    "ParityReport",
-    "skew_syt_parity",
-    "unique_odd_constituent",
     "cross_validate",
 ]

@@ -12,14 +12,17 @@ witness     construct a verified non-commutativity witness for (n; k, l)
 tower       render the k-data table of a partition
 verify      run the branching-parity cross-validation sweep
 
-Output is text by default; ``--format json`` and ``--format csv`` emit
-machine-readable forms with a fixed key vocabulary. Exit codes: 0 on
-success, 1 when a verify sweep found mismatches, 2 on usage errors, 3 when
-an internal invariant check failed (the error and the command line that
+Each command builds one record, a dict of plain values and partitions,
+and renders it as text (the default), ``--format json`` or ``--format
+csv``; the record's keys are the JSON keys. Exit codes: 0 on success, 1
+when a verify sweep found mismatches, 2 on usage errors (including
+``verify --jobs`` below 1) and when ``--out`` cannot be written, 3 when an
+internal invariant check failed (the error and the command line that
 reproduces it go to stderr).
 Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 ``[]`` is the empty partition. ``ODDMAPS_MAX_N`` (default 40) caps the n
-accepted by the sweeping commands.
+accepted by the sweeping commands and by ``witness``. ``verify --jobs``
+starts at most one worker process per level and per CPU.
 """
 
 from __future__ import annotations
@@ -83,17 +86,40 @@ def _check_cap(parser: argparse.ArgumentParser, n: int) -> None:
         parser.error(f"n={n} exceeds the sweep cap {cap} (set ODDMAPS_MAX_N to raise it)")
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str, csv_rows) -> None:
+def _emit(
+    args: argparse.Namespace,
+    record: dict[str, Any],
+    text: str | None = None,
+    rows: list[list[Any]] | None = None,
+) -> None:
+    """Render a command's record in the requested format and write it out.
+
+    JSON writes each partition as its list of parts. The default text is
+    one member per line for a record with ``members``, else the record's
+    last value; the default CSV is a ``partition`` column for a record with
+    ``members``, else one header row of keys over one row of values.
+    ``text`` and ``rows`` replace those defaults where a command's layout
+    differs.
+    """
     if args.format == "json":
-        rendered = json.dumps(payload, indent=2)
+        rendered = json.dumps(record, indent=2, default=lambda p: list(p.parts))
     elif args.format == "csv":
+        if rows is None and "members" in record:
+            rows = [["partition"]] + [[str(p)] for p in record["members"]]
+        elif rows is None:
+            # csv writes None as an empty field.
+            values = [str(v) if isinstance(v, Partition) else v for v in record.values()]
+            rows = [list(record), values]
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in csv_rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(rows)
         rendered = buf.getvalue().rstrip("\n")
-    else:
+    elif text is not None:
         rendered = text
+    elif "members" in record:
+        rendered = "\n".join(str(p) for p in record["members"])
+    else:
+        last = list(record.values())[-1]
+        rendered = ("true" if last else "false") if isinstance(last, bool) else str(last)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered + "\n")
@@ -101,17 +127,10 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str, csv_rows
         print(rendered)
 
 
-def _plist(ps) -> list[list[int]]:
-    return [list(p.parts) for p in ps]
-
-
 def _cmd_odd_list(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, args.n)
     members = odd_partitions(args.n)
-    payload = {"n": args.n, "members": _plist(members), "size": len(members)}
-    text = "\n".join(str(p) for p in members)
-    rows = [["partition"]] + [[str(p)] for p in members]
-    _emit(args, payload, text, rows)
+    _emit(args, {"n": args.n, "members": members, "size": len(members)})
     return 0
 
 
@@ -120,87 +139,66 @@ def _cmd_fk(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if lam.size != args.n:
         parser.error(f"lambda has size {lam.size}, expected n={args.n}")
     result = remove_odd_hook(lam, args.k)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "lambda": list(lam.parts),
-        "result": list(result.parts),
-    }
-    rows = [["n", "k", "lambda", "result"], [args.n, args.k, str(lam), str(result)]]
-    _emit(args, payload, str(result), rows)
+    _emit(args, {"n": args.n, "k": args.k, "lambda": lam, "result": result})
     return 0
 
 
 def _cmd_fiber(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, args.n)
     fib = fiber(args.mu, args.n, args.k)
-    depth = dnk(args.n, args.k).d
-    payload = {
+    record = {
         "n": args.n,
         "k": args.k,
-        "mu": list(args.mu.parts),
-        "members": _plist(fib.members),
+        "mu": args.mu,
+        "members": fib.members,
         "size": fib.size,
-        "d": depth,
+        "d": dnk(args.n, args.k).d,
     }
-    text = "\n".join(str(p) for p in fib.members)
-    rows = [["partition"]] + [[str(p)] for p in fib.members]
-    _emit(args, payload, text, rows)
+    _emit(args, record)
     return 0
 
 
 def _cmd_image(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, args.n)
     missed = image_misses(args.n, args.k)
-    payload = {
+    record = {
         "n": args.n,
         "k": args.k,
-        "members": _plist(missed),
+        "members": missed,
         "size": len(missed),
         "d": dnk(args.n, args.k).d,
     }
-    text = "\n".join(str(p) for p in missed)
-    rows = [["partition"]] + [[str(p)] for p in missed]
-    _emit(args, payload, text, rows)
+    _emit(args, record)
     return 0
 
 
 def _cmd_surjective(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     result = is_surjective(args.n, args.k)
-    depth = dnk(args.n, args.k).d
-    payload = {"n": args.n, "k": args.k, "d": depth, "result": result}
-    rows = [["n", "k", "d", "result"], [args.n, args.k, depth, result]]
-    _emit(args, payload, "true" if result else "false", rows)
+    _emit(args, {"n": args.n, "k": args.k, "d": dnk(args.n, args.k).d, "result": result})
     return 0
 
 
 def _cmd_commute(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, args.n)
     verdict = commute_verdict(CommuteInstance(n=args.n, k=args.k, l=args.l))
-    witness = verdict.witness
-    payload = {
+    text = "commutes: " + ("true" if verdict.commutes else "false")
+    if verdict.witness is not None:
+        text += f"\nwitness: {verdict.witness}"
+    record = {
         "n": args.n,
         "k": args.k,
         "l": args.l,
         "commutes": verdict.commutes,
-        "witness": list(witness.parts) if witness is not None else None,
+        "witness": verdict.witness,
     }
-    text = "commutes: " + ("true" if verdict.commutes else "false")
-    if witness is not None:
-        text += f"\nwitness: {witness}"
-    rows = [
-        ["n", "k", "l", "commutes", "witness"],
-        [args.n, args.k, args.l, verdict.commutes, str(witness) if witness else ""],
-    ]
-    _emit(args, payload, text, rows)
+    _emit(args, record, text=text)
     return 0
 
 
 def _cmd_witness(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_cap(parser, args.n)
     lam = counterexample_witness(CommuteInstance(n=args.n, k=args.k, l=args.l))
-    payload = {"n": args.n, "k": args.k, "l": args.l, "witness": list(lam.parts)}
-    rows = [["n", "k", "l", "witness"], [args.n, args.k, args.l, str(lam)]]
-    _emit(args, payload, str(lam), rows)
+    _emit(args, {"n": args.n, "k": args.k, "l": args.l, "witness": lam})
     return 0
 
 
@@ -210,38 +208,28 @@ def _cmd_tower(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.k > max(args.lam.size, 1).bit_length():
         parser.error(f"k={args.k} lies past the first all-empty tower row of {args.lam}")
     data = k_data(args.lam, args.k)
-    table = [_plist(row) for row in data.core_rows] + [_plist(data.quotient_row.entries)]
-    payload = {"lambda": list(args.lam.parts), "k": args.k, "result": table}
-    rows = [[str(Partition(p)) for p in row] for row in table]
-    _emit(args, payload, render_kdata(data), rows)
+    table = data.core_rows + (data.quotient_row.entries,)
+    rows = [[str(p) for p in row] for row in table]
+    record = {"lambda": args.lam, "k": args.k, "result": table}
+    _emit(args, record, text=render_kdata(data), rows=rows)
     return 0
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_cap(parser, args.max_n)
     report = cross_validate(args.max_n, jobs=args.jobs)
-    payload = {
-        "report": {
-            "n_max": report.n_max,
-            "checks_run": report.checks_run,
-            "mismatches": [
-                {
-                    "lambda": list(m.lam.parts),
-                    "k": m.k,
-                    "expected": str(m.expected),
-                    "got": str(m.got),
-                }
-                for m in report.mismatches
-            ],
-        }
-    }
-    lines = [f"checks run: {report.checks_run}", f"mismatches: {len(report.mismatches)}"]
-    lines += [
-        f"  {m.lam} k={m.k}: expected {m.expected}, got {m.got}"
+    mismatches = [
+        {"lambda": m.lam, "k": m.k, "expected": str(m.expected), "got": str(m.got)}
         for m in report.mismatches
     ]
-    rows = [["n_max", "checks_run", "mismatches"], [report.n_max, report.checks_run, len(report.mismatches)]]
-    _emit(args, payload, "\n".join(lines), rows)
+    lines = [f"checks run: {report.checks_run}", f"mismatches: {len(mismatches)}"]
+    lines += [f"  {m.lam} k={m.k}: expected {m.expected}, got {m.got}" for m in report.mismatches]
+    rows = [
+        ["n_max", "checks_run", "mismatches"],
+        [report.n_max, report.checks_run, len(mismatches)],
+    ]
+    record = {"n_max": report.n_max, "checks_run": report.checks_run, "mismatches": mismatches}
+    _emit(args, {"report": record}, text="\n".join(lines), rows=rows)
     return 0 if report.ok else 1
 
 
@@ -314,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args.parser, args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

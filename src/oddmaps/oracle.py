@@ -16,6 +16,7 @@ data rather than raising.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -161,12 +162,19 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
 
 def cross_validate(n_max: int, jobs: int = 1) -> ParityReport:
     """Sweep all n up to ``n_max``: oddness parity on every partition, and
-    the odd-constituent comparison on every odd partition and every k."""
+    the odd-constituent comparison on every odd partition and every k.
+
+    Levels run in at most ``jobs`` worker processes, never more than there
+    are levels or CPUs: the pool starts all of its workers at once.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     levels = range(1, n_max + 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(levels), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_level, levels))
     else:
         results = [_check_level(n) for n in levels]

@@ -24,7 +24,6 @@ __all__ = [
     "nu2",
     "nu2_degree",
     "is_hook_partition",
-    "binary_digits",
     "all_two_disjoint",
     "partitions_of",
 ]
@@ -110,18 +109,6 @@ class Hook:
     @property
     def length(self) -> int:
         return self.arm + self.leg + 1
-
-
-def binary_digits(n: int) -> tuple[int, ...]:
-    """The powers of two in the binary expansion of n, largest first."""
-    if n < 0:
-        raise ValueError("binary digits are defined for non-negative integers")
-    digits = []
-    while n:
-        low = n & -n
-        digits.append(low)
-        n -= low
-    return tuple(reversed(digits))
 
 
 def all_two_disjoint(values: Iterable[int]) -> bool:

@@ -30,3 +30,23 @@ def commute_instances(n_max: int) -> Iterator[CommuteInstance]:
                 if (1 << k) + (1 << l) <= n:
                     yield CommuteInstance(n=n, k=k, l=l)
             l += 1
+
+
+def recording_executor(created: list[int]) -> type:
+    """A stand-in for ``ProcessPoolExecutor`` that starts no process: it
+    appends each pool size asked for to ``created`` and maps in-process."""
+
+    class RecordingExecutor:
+        def __init__(self, max_workers: int) -> None:
+            created.append(max_workers)
+
+        def __enter__(self) -> "RecordingExecutor":
+            return self
+
+        def __exit__(self, *exc_info) -> bool:
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return RecordingExecutor

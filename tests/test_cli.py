@@ -4,9 +4,10 @@ import tracemalloc
 
 import pytest
 
-from helpers import random_partition
-from oddmaps import KData, Mismatch, ParityReport, Partition, k_data
+from helpers import random_partition, recording_executor
+from oddmaps import Partition, k_data
 from oddmaps.cli import main, parse_partition_text, render_kdata
+from oddmaps.oracle import Mismatch, ParityReport
 
 P = Partition
 
@@ -296,6 +297,39 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["result"] == [3, 2, 2, 2, 1, 1]
+
+
+def test_out_write_failure_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.json"
+    argv = ["fk", "--n", "15", "--k", "2", "--lambda", "[5,4,2,2,1,1]", "--out", str(target)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert not target.exists()
+
+
+def test_verify_jobs_clamped_without_starting_processes(capsys, monkeypatch):
+    created = []
+    monkeypatch.setattr("oddmaps.oracle.ProcessPoolExecutor", recording_executor(created))
+    monkeypatch.setattr("oddmaps.oracle.os.cpu_count", lambda: 8)
+    code, out = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "100000")
+    assert code == 0 and out == "checks run: 44\nmismatches: 0\n"
+    assert created == [5]
+    code, _ = run_cli(capsys, "verify", "--max-n", "12", "--jobs", "100000")
+    assert code == 0 and created == [5, 8]
+    for jobs in ("0", "-3"):
+        code, _ = run_cli(capsys, "verify", "--max-n", "5", "--jobs", jobs)
+        assert code == 2
+    assert created == [5, 8]
+
+
+def test_witness_sweep_cap(capsys, monkeypatch):
+    code, _ = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
+    assert code == 2
+    monkeypatch.setenv("ODDMAPS_MAX_N", "64")
+    code, out = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
+    assert code == 0 and out.strip() != ""
 
 
 def test_usage_errors_exit_2(capsys):

@@ -5,13 +5,11 @@ import pytest
 from helpers import commute_instances
 from oddmaps import (
     CommuteInstance,
-    CommuteVerdict,
     Partition,
     commute_verdict,
     counterexample_witness,
     fiber,
     fiber_size_formula,
-    from_core_quotient,
     image_misses,
     is_odd,
     is_surjective,
@@ -21,6 +19,8 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
+from oddmaps.maps import CommuteVerdict
+from oddmaps.quotient import from_core_quotient
 
 P = Partition
 

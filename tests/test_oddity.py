@@ -4,21 +4,16 @@ import pytest
 
 from oddmaps import (
     Partition,
-    all_two_disjoint,
-    core_tower,
-    d_good,
     dnk,
-    e_core,
-    hooks_of_length,
     is_odd,
-    is_odd_via_row,
     nu2_degree,
     odd_partitions,
     odd_partitions_by_filter,
     partitions_of,
-    remove_hook,
-    tower_row,
 )
+from oddmaps.oddity import d_good, is_odd_via_row
+from oddmaps.partition import all_two_disjoint, hooks_of_length, remove_hook
+from oddmaps.quotient import core_tower, e_core, tower_row
 
 P = Partition
 

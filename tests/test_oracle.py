@@ -2,14 +2,9 @@ from functools import lru_cache
 
 import pytest
 
-from oddmaps import (
-    Partition,
-    cross_validate,
-    partitions_of,
-    remove_odd_hook,
-    skew_syt_parity,
-    unique_odd_constituent,
-)
+from helpers import recording_executor
+from oddmaps import Partition, cross_validate, partitions_of, remove_odd_hook
+from oddmaps.oracle import skew_syt_parity, unique_odd_constituent
 
 P = Partition
 
@@ -106,3 +101,20 @@ def test_cross_validate_parallel_matches_serial():
     parallel = cross_validate(8, jobs=2)
     assert parallel.checks_run == serial.checks_run
     assert parallel.mismatches == serial.mismatches
+
+
+def test_cross_validate_bounds_workers(monkeypatch):
+    created = []
+    monkeypatch.setattr("oddmaps.oracle.ProcessPoolExecutor", recording_executor(created))
+    monkeypatch.setattr("oddmaps.oracle.os.cpu_count", lambda: 8)
+    serial = cross_validate(12)
+    assert cross_validate(12, jobs=100_000) == serial
+    assert cross_validate(12, jobs=3) == serial
+    assert cross_validate(5, jobs=100_000) == cross_validate(5)
+    assert created == [8, 3, 5]
+    monkeypatch.setattr("oddmaps.oracle.os.cpu_count", lambda: None)
+    assert cross_validate(12, jobs=100_000) == serial
+    assert created == [8, 3, 5]
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            cross_validate(5, jobs=jobs)

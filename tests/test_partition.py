@@ -4,18 +4,15 @@ from collections import Counter
 
 import pytest
 
-from oddmaps import (
+from oddmaps import Partition, nu2_degree, partitions_of
+from oddmaps.partition import (
     Hook,
-    Partition,
     beta_set,
-    binary_digits,
     hook_lengths,
     hooks_of_length,
     is_hook_partition,
     nu2,
-    nu2_degree,
     partition_from_beta,
-    partitions_of,
     remove_hook,
 )
 
@@ -132,21 +129,6 @@ def test_factorial_valuation_identity():
             f //= 2
             direct += 1
         assert n - bin(n).count("1") == direct
-
-
-def test_binary_digit_sets_compose():
-    assert binary_digits(12) == (8, 4)
-    assert binary_digits(0) == ()
-    for n in range(257):
-        dn = set(binary_digits(n))
-        assert sum(dn) == n
-        for m in range(n + 1):
-            dm = set(binary_digits(m))
-            assert set(binary_digits(m & n)) == dm & dn
-            if m & n == m:
-                rest = set(binary_digits(n - m))
-                assert rest | dm == dn
-                assert not (rest & dm)
 
 
 def test_is_hook_partition():

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from oddmaps import (
     Partition,
-    beta_set,
-    core_tower,
     is_odd,
     nu2_degree,
     odd_hook_removals,
     odd_partitions,
-    partition_from_beta,
     remove_odd_hook,
 )
+from oddmaps.partition import beta_set, partition_from_beta
+from oddmaps.quotient import core_tower
 
 # Reproducible draws, and no example database written to the checkout.
 reproducible = settings(derandomize=True, database=None, deadline=None)

@@ -3,22 +3,18 @@ import random
 import pytest
 
 from helpers import random_partition
-from oddmaps import (
+from oddmaps import Partition, k_data, partitions_of
+from oddmaps.partition import hook_lengths, hooks_of_length, remove_hook
+from oddmaps.quotient import (
     KData,
-    Partition,
     QuotientTowerRow,
     core_and_quotient,
     core_tower,
     e_core,
     e_quotient,
     from_core_quotient,
-    hook_lengths,
-    hooks_of_length,
     is_two_core,
-    k_data,
     partition_from_kdata,
-    partitions_of,
-    remove_hook,
     tower_row,
 )
 
