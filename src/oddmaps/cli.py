@@ -121,8 +121,11 @@ def _emit(
         last = list(record.values())[-1]
         rendered = ("true" if last else "false") if isinstance(last, bool) else str(last)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         print(rendered)
 
@@ -302,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args.parser, args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -159,6 +159,7 @@ def test_verify_command(capsys):
     assert payload["report"]["checks_run"] > 0
 
 
+# Whole outputs, byte for byte; csv.writer ends each row with \r\n.
 GOLDEN = [
     pytest.param(
         ["fk", "--n", "15", "--k", "2", "--lambda", "[5,4,2,2,1,1]", "--format", "csv"],
@@ -305,7 +306,7 @@ def test_out_write_failure_exit_2(tmp_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.err.startswith(f"error: cannot write {target}: ")
     assert not target.exists()
 
 
@@ -316,20 +317,10 @@ def test_verify_jobs_clamped_without_starting_processes(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "100000")
     assert code == 0 and out == "checks run: 44\nmismatches: 0\n"
     assert created == [5]
-    code, _ = run_cli(capsys, "verify", "--max-n", "12", "--jobs", "100000")
-    assert code == 0 and created == [5, 8]
     for jobs in ("0", "-3"):
         code, _ = run_cli(capsys, "verify", "--max-n", "5", "--jobs", jobs)
         assert code == 2
-    assert created == [5, 8]
-
-
-def test_witness_sweep_cap(capsys, monkeypatch):
-    code, _ = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
-    assert code == 2
-    monkeypatch.setenv("ODDMAPS_MAX_N", "64")
-    code, out = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
-    assert code == 0 and out.strip() != ""
+    assert created == [5]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -371,6 +362,12 @@ def test_huge_k_exits_2_without_building_2_to_the_k(capsys):
 
 
 def test_sweep_cap_env_override(capsys, monkeypatch):
+    monkeypatch.delenv("ODDMAPS_MAX_N", raising=False)
+    code, _ = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
+    assert code == 2
+    monkeypatch.setenv("ODDMAPS_MAX_N", "64")
+    code, out = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
+    assert code == 0 and out.strip() != ""
     monkeypatch.setenv("ODDMAPS_MAX_N", "100")
     code, _ = run_cli(capsys, "odd-list", "--n", "41")
     assert code == 0
