@@ -21,8 +21,9 @@ internal invariant check failed (the error and the command line that
 reproduces it go to stderr).
 Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 ``[]`` is the empty partition. ``ODDMAPS_MAX_N`` (default 40) caps the n
-accepted by the sweeping commands and by ``witness``. ``verify --jobs``
-starts at most one worker process per level and per CPU.
+accepted by the sweeping commands, by ``witness`` and ``fk``, and the size
+of the partition given to ``tower``. ``verify --jobs`` starts at most one
+worker process per level and per CPU.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def parse_partition_text(text: str) -> Partition:
 
 def render_kdata(data: KData) -> str:
     """Centered triangular rendering of a k-data table, one row per line."""
-    rows = [list(row) for row in data.core_rows] + [list(data.quotient_row.entries)]
+    rows = data.core_rows + (data.quotient_row,)
     texts = [" ".join(str(p) for p in row) for row in rows]
     width = max(len(t) for t in texts)
     return "\n".join(" " * ((width - len(t)) // 2) + t for t in texts)
@@ -138,6 +139,7 @@ def _cmd_odd_list(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_fk(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_cap(parser, args.n)
     lam = args.lam
     if lam.size != args.n:
         parser.error(f"lambda has size {lam.size}, expected n={args.n}")
@@ -206,12 +208,13 @@ def _cmd_witness(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def _cmd_tower(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_cap(parser, args.lam.size)
     # Row k holds 2^k entries and lies past the first all-empty row once
     # 2^(k-1) > max(|lambda|, 1); compared by bit length so no 2^k is built.
     if args.k > max(args.lam.size, 1).bit_length():
         parser.error(f"k={args.k} lies past the first all-empty tower row of {args.lam}")
     data = k_data(args.lam, args.k)
-    table = data.core_rows + (data.quotient_row.entries,)
+    table = data.core_rows + (data.quotient_row,)
     rows = [[str(p) for p in row] for row in table]
     record = {"lambda": args.lam, "k": args.k, "result": table}
     _emit(args, record, text=render_kdata(data), rows=rows)

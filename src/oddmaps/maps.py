@@ -13,9 +13,11 @@ oracle checks the map independently of both.
 
 On top of the map sit the classification results this package exists to
 verify: fiber sizes are always 0, 2 or 2^k and are predicted without
-enumeration; surjectivity depends only on the depth of n at level k; and
-commutativity of two removals is decided by a closed criterion with one
-sporadic exception, backed by constructed counterexample witnesses.
+enumeration from quotient row k of the target, read as its 2^k-quotient
+because only the row's entries matter, not their order; surjectivity
+depends only on the depth of n at level k; and commutativity of two
+removals is decided by a closed criterion with one sporadic exception,
+backed by constructed counterexample witnesses.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .partition import (
     partition_from_beta,
     remove_hook,
 )
-from .quotient import KData, from_core_quotient, k_data, partition_from_kdata, tower_row
+from .quotient import KData, e_quotient, from_core_quotient, k_data, partition_from_kdata
 
 __all__ = [
     "Fiber",
@@ -146,7 +148,8 @@ def remove_odd_hook_via_tower(lam: Partition, k: int) -> Partition:
     if (1 << k) > lam.size:
         raise ValueError("2^k exceeds the partition size")
     data = k_data(lam, k)
-    sizes = list(data.quotient_row.sizes)
+    row = data.quotient_row
+    sizes = [p.size for p in row]
     hits = [
         i
         for i, s in enumerate(sizes)
@@ -155,19 +158,10 @@ def remove_odd_hook_via_tower(lam: Partition, k: int) -> Partition:
     if len(hits) != 1:
         raise RuntimeError(f"{lam}: {len(hits)} tower entries admit a cell removal")
     i = hits[0]
-    entry = data.quotient_row.entries[i]
-    shrunk = odd_hook_removals(entry, 0)
+    shrunk = odd_hook_removals(row[i], 0)
     if len(shrunk) != 1:
-        raise RuntimeError(f"tower entry {entry} has {len(shrunk)} odd cell removals")
-    new_entries = list(data.quotient_row.entries)
-    new_entries[i] = shrunk[0]
-    return partition_from_kdata(
-        KData(
-            k=k,
-            core_rows=data.core_rows,
-            quotient_row=type(data.quotient_row)(k, tuple(new_entries)),
-        )
-    )
+        raise RuntimeError(f"tower entry {row[i]} has {len(shrunk)} odd cell removals")
+    return partition_from_kdata(KData(k, data.core_rows, row[:i] + shrunk + row[i + 1 :]))
 
 
 @lru_cache(maxsize=None)
@@ -196,13 +190,16 @@ def fiber(mu: Partition, n: int, k: int) -> Fiber:
 
 def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
     """Predicted fiber size without enumeration: 2^k at depth 0, else 2 when
-    quotient row k of ``mu`` holds a d-good partition, else 0."""
+    quotient row k of ``mu`` holds a d-good partition, else 0.
+
+    The question ignores the order of the row, so the row is read from the
+    2^k-quotient of ``mu`` in one beta-set pass, not by walking the tower.
+    """
     _check_fiber_args(mu, n, k)
     d = dnk(n, k).d
     if d == 0:
         return 1 << k
-    row = tower_row(mu, k)
-    return 2 if any(d_good(p, d) for p in row.entries) else 0
+    return 2 if any(d_good(p, d) for p in e_quotient(mu, 1 << k)) else 0
 
 
 def image_misses(n: int, k: int) -> tuple[Partition, ...]:
@@ -218,8 +215,9 @@ def is_surjective(n: int, k: int, verify: bool = False) -> bool:
     """Whether every odd partition of n - 2^k has a nonempty fiber.
 
     Closed criterion: depth d(n, k) at most 2 for k = 0, at most 1 for
-    k > 0. With ``verify`` the criterion is checked against the actual
-    image misses; disagreement would refute the classification.
+    k > 0. With ``verify`` the criterion is checked against
+    :func:`image_misses`, which applies :func:`fiber_size_formula` to every
+    odd partition of n - 2^k; disagreement would refute the classification.
     """
     if n < 1 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")

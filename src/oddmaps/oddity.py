@@ -4,8 +4,9 @@ A partition labels an odd-degree character exactly when every row of its
 2-core tower has weight at most 1. Production code decides that on the
 abacus: the weight of tower row k depends only on how many beads of a
 beta-set fall in each residue class mod 2^(k+1), so no tower is built.
-The tower route (``core_tower`` and :func:`is_odd_via_row`) stays as the
-reference that the tests and ``oddmaps verify`` compare the count against.
+The tower route (``core_tower`` and :func:`is_odd_via_row`, which reads
+quotient row k as the 2^k-quotient) stays as the reference that the tests
+compare the count against.
 
 Two enumerators use the criterion: a filter over all partitions (reference)
 and a constructive one on the abacus. With 2^t the top binary digit of n,
@@ -29,7 +30,7 @@ from .partition import (
     partition_from_beta,
     partitions_of,
 )
-from .quotient import core_tower, e_core, tower_row
+from .quotient import core_tower, e_core, e_quotient
 
 __all__ = [
     "DnkDecomposition",
@@ -111,18 +112,19 @@ def is_odd_via_row(lam: Partition, k: int) -> bool:
     """Oddness decided from tower row k alone.
 
     Requires: core rows below k each weigh at most 1, all row-k entries are
-    odd, and their sizes are pairwise 2-disjoint. Agrees with
-    :func:`is_odd` for every k.
+    odd, and their sizes are pairwise 2-disjoint. None of that depends on
+    the order of the row, so it is read from the 2^k-quotient of ``lam``
+    ((lam,) at k = 0). Agrees with :func:`is_odd` for every k.
     """
     if k < 0:
         raise ValueError("row index must be non-negative")
     tower = core_tower(lam)
     if any(tower.weight(j) > 1 for j in range(k)):
         return False
-    row = tower_row(lam, k)
-    if not all(is_odd(p) for p in row.entries):
+    row = e_quotient(lam, 1 << k)
+    if not all(is_odd(p) for p in row):
         return False
-    return all_two_disjoint(row.sizes)
+    return all_two_disjoint(p.size for p in row)
 
 
 @lru_cache(maxsize=None)

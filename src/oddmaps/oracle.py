@@ -53,19 +53,6 @@ class ParityReport:
         return not self.mismatches
 
 
-def _one_box_additions(nu: tuple[int, ...], bound: tuple[int, ...]):
-    for i in range(min(len(nu) + 1, len(bound))):
-        cur = nu[i] if i < len(nu) else 0
-        if cur >= bound[i]:
-            continue
-        if i > 0 and cur >= nu[i - 1]:
-            continue
-        if i < len(nu):
-            yield nu[:i] + (cur + 1,) + nu[i + 1 :]
-        else:
-            yield nu + (1,)
-
-
 def _one_box_removals(nu: tuple[int, ...]):
     for i in range(len(nu)):
         if i + 1 < len(nu) and nu[i] == nu[i + 1]:
@@ -76,11 +63,11 @@ def _one_box_removals(nu: tuple[int, ...]):
             yield nu[:i] + (nu[i] - 1,) + nu[i + 1 :]
 
 
-def _toggle_step(frontier: set, moves) -> set:
-    """One level of the parity walk: XOR-accumulate the neighbours."""
+def _toggle_step(frontier: set) -> set:
+    """One level of the parity walk down: XOR-accumulate the neighbours."""
     nxt: set = set()
     for nu in frontier:
-        for out in moves(nu):
+        for out in _one_box_removals(nu):
             if out in nxt:
                 nxt.remove(out)
             else:
@@ -91,16 +78,16 @@ def _toggle_step(frontier: set, moves) -> set:
 def skew_syt_parity(lam: Partition, mu: Partition) -> int:
     """Parity of the number of standard tableaux of shape lam/mu.
 
-    Level-by-level walk up the one-box lattice from mu to lam, carrying
-    only the set of shapes reached by an odd number of paths.
+    Level-by-level walk down the one-box lattice from lam to mu, the walk
+    :func:`unique_odd_constituent` takes, carrying only the set of shapes
+    reached by an odd number of paths.
     """
     if not lam.contains(mu):
         raise ValueError("not a subdiagram")
-    bound = lam.parts
-    frontier = {mu.parts}
+    frontier = {lam.parts}
     for _ in range(lam.size - mu.size):
-        frontier = _toggle_step(frontier, lambda nu: _one_box_additions(nu, bound))
-    return 1 if lam.parts in frontier else 0
+        frontier = _toggle_step(frontier)
+    return 1 if mu.parts in frontier else 0
 
 
 def unique_odd_constituent(lam: Partition, k: int) -> Partition:
@@ -120,7 +107,7 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
         raise ValueError("defined for odd-degree partitions")
     frontier = {lam.parts}
     for _ in range(1 << k):
-        frontier = _toggle_step(frontier, _one_box_removals)
+        frontier = _toggle_step(frontier)
     candidates = [nu for nu in frontier if nu2_degree(Partition(nu)) == 0]
     if len(candidates) != 1:
         raise RuntimeError(

@@ -10,10 +10,14 @@ well defined. A regression test pins the convention against a worked
 Towers iterate the e = 2 decomposition: row k of the quotient tower holds
 2^k partitions, obtained by replacing each entry of row k-1 with its
 2-quotient pair; the core tower records the 2-cores of those entries.
+Row k holds the components of the 2^k-quotient in another order (the
+abacus fact of James and Kerber), so a question that ignores the order
+reads row k from one ``e_quotient(lam, 2**k)`` pass. Only the k-data
+tables, which rebuild partitions and which the ``tower`` command prints,
+need the order; they walk the tower level by level.
 Production code never builds a tower: oddness and the removal map work
-on bead counts of a beta-set. The towers here are the reference route
-that the tests and ``oddmaps verify`` check those counts against, and the
-k-data tables that rebuild partitions and that the ``tower`` command prints.
+on bead counts of a beta-set, and the tests check those counts against
+the core tower.
 """
 
 from __future__ import annotations
@@ -29,14 +33,12 @@ from .partition import (
 
 __all__ = [
     "CoreQuotient",
-    "QuotientTowerRow",
     "CoreTower",
     "KData",
     "core_and_quotient",
     "e_core",
     "e_quotient",
     "from_core_quotient",
-    "tower_row",
     "core_tower",
     "k_data",
     "partition_from_kdata",
@@ -59,22 +61,6 @@ class CoreQuotient:
 
 
 @dataclass(frozen=True)
-class QuotientTowerRow:
-    """Row k of the 2-quotient tower: 2^k partitions, left to right."""
-
-    k: int
-    entries: tuple[Partition, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != 1 << self.k:
-            raise ValueError("tower row k must hold 2^k entries")
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(p.size for p in self.entries)
-
-
-@dataclass(frozen=True)
 class CoreTower:
     """2-core tower rows, up to and including the first all-empty tower row.
 
@@ -92,11 +78,12 @@ class CoreTower:
 
 @dataclass(frozen=True)
 class KData:
-    """Core-tower rows 0..k-1 plus quotient-tower row k; determines the partition."""
+    """Core-tower rows 0..k-1 plus quotient-tower row k, left to right;
+    determines the partition."""
 
     k: int
     core_rows: tuple[tuple[Partition, ...], ...]
-    quotient_row: QuotientTowerRow
+    quotient_row: tuple[Partition, ...]
 
 
 def _residue_classes(beta: tuple[int, ...], e: int) -> list[list[int]]:
@@ -161,16 +148,6 @@ def _descend(
     return tuple(cq.core for cq in split), tuple(q for cq in split for q in cq.quotient)
 
 
-def tower_row(lam: Partition, k: int) -> QuotientTowerRow:
-    """Row k of the 2-quotient tower of ``lam`` (row 0 is (lam,))."""
-    if k < 0:
-        raise ValueError("tower rows are indexed by non-negative integers")
-    entries = (lam,)
-    for _ in range(k):
-        entries = _descend(entries)[1]
-    return QuotientTowerRow(k, entries)
-
-
 def core_tower(lam: Partition) -> CoreTower:
     """The 2-core tower, cut off at the first all-empty tower row."""
     rows = []
@@ -197,7 +174,7 @@ def k_data(lam: Partition, k: int) -> KData:
     for _ in range(k):
         cores, entries = _descend(entries)
         core_rows.append(cores)
-    return KData(k=k, core_rows=tuple(core_rows), quotient_row=QuotientTowerRow(k, entries))
+    return KData(k=k, core_rows=tuple(core_rows), quotient_row=entries)
 
 
 def is_two_core(lam: Partition) -> bool:
@@ -217,9 +194,9 @@ def partition_from_kdata(data: KData) -> Partition:
         for p in row:
             if not is_two_core(p):
                 raise ValueError("core row entry is not a 2-core")
-    if data.quotient_row.k != data.k:
-        raise ValueError("quotient row level does not match k")
-    level = data.quotient_row.entries
+    if len(data.quotient_row) != 1 << data.k:
+        raise ValueError(f"quotient row must hold 2^{data.k} entries")
+    level = data.quotient_row
     for j in range(data.k - 1, -1, -1):
         level = tuple(
             from_core_quotient(data.core_rows[j][i], (level[2 * i], level[2 * i + 1]), 2)

@@ -361,12 +361,34 @@ def test_huge_k_exits_2_without_building_2_to_the_k(capsys):
         assert peak < 1 << 20, (argv, peak)
 
 
+def test_huge_fk_n_exits_2_before_any_work(capsys, monkeypatch):
+    monkeypatch.delenv("ODDMAPS_MAX_N", raising=False)
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(capsys, "fk", "--n", "4194304", "--k", "0", "--lambda", "[4194304]")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20, peak
+
+
 def test_sweep_cap_env_override(capsys, monkeypatch):
     monkeypatch.delenv("ODDMAPS_MAX_N", raising=False)
     code, _ = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
     assert code == 2
     monkeypatch.setenv("ODDMAPS_MAX_N", "64")
     code, out = run_cli(capsys, "witness", "--n", "41", "--k", "0", "--l", "1")
+    assert code == 0 and out.strip() != ""
+    monkeypatch.delenv("ODDMAPS_MAX_N")
+    code, _ = run_cli(capsys, "fk", "--n", "41", "--k", "0", "--lambda", "[41]")
+    assert code == 2
+    code, _ = run_cli(capsys, "tower", "--lambda", "[41]", "--k", "1")
+    assert code == 2
+    monkeypatch.setenv("ODDMAPS_MAX_N", "64")
+    code, out = run_cli(capsys, "fk", "--n", "41", "--k", "0", "--lambda", "[41]")
+    assert (code, out) == (0, "[40]\n")
+    code, out = run_cli(capsys, "tower", "--lambda", "[41]", "--k", "1")
     assert code == 0 and out.strip() != ""
     monkeypatch.setenv("ODDMAPS_MAX_N", "100")
     code, _ = run_cli(capsys, "odd-list", "--n", "41")

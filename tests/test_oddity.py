@@ -13,7 +13,7 @@ from oddmaps import (
 )
 from oddmaps.oddity import d_good, is_odd_via_row
 from oddmaps.partition import all_two_disjoint, hooks_of_length, remove_hook
-from oddmaps.quotient import core_tower, e_core, tower_row
+from oddmaps.quotient import core_tower, e_core, e_quotient, k_data
 
 P = Partition
 
@@ -87,7 +87,7 @@ def test_row_sum_law():
         for lam in odd_partitions(n):
             k = 0
             while (1 << k) <= n:
-                sizes = tower_row(lam, k).sizes
+                sizes = [p.size for p in e_quotient(lam, 1 << k)]
                 assert sum(sizes) == n >> k
                 assert all_two_disjoint(sizes)
                 k += 1
@@ -115,7 +115,7 @@ def test_construction_count():
                     expected <<= m
             blocks = defaultdict(int)
             for lam in odd_partitions(n):
-                blocks[tower_row(lam, k).entries] += 1
+                blocks[k_data(lam, k).quotient_row] += 1
             assert all(count == expected for count in blocks.values()), (n, k)
             for entries in blocks:
                 assert all(is_odd(p) for p in entries)

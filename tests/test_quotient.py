@@ -7,7 +7,6 @@ from oddmaps import Partition, k_data, partitions_of
 from oddmaps.partition import hook_lengths, hooks_of_length, remove_hook
 from oddmaps.quotient import (
     KData,
-    QuotientTowerRow,
     core_and_quotient,
     core_tower,
     e_core,
@@ -15,7 +14,6 @@ from oddmaps.quotient import (
     from_core_quotient,
     is_two_core,
     partition_from_kdata,
-    tower_row,
 )
 
 P = Partition
@@ -28,8 +26,8 @@ def test_quotient_convention_calibration():
     assert e_quotient(CALIBRATION, 2) == (P((2, 2, 1, 1)), P((1,)))
     assert e_quotient(P((2, 2, 1, 1)), 2) == (P((1, 1)), P((1,)))
     assert e_quotient(P((1,)), 2) == (P(()), P(()))
-    assert tower_row(CALIBRATION, 1).entries == (P((2, 2, 1, 1)), P((1,)))
-    assert tower_row(CALIBRATION, 2).entries == (P((1, 1)), P((1,)), P(()), P(()))
+    assert k_data(CALIBRATION, 1).quotient_row == (P((2, 2, 1, 1)), P((1,)))
+    assert k_data(CALIBRATION, 2).quotient_row == (P((1, 1)), P((1,)), P(()), P(()))
 
 
 def test_e_core_examples():
@@ -107,18 +105,27 @@ def test_hook_removal_compatibility():
                     assert q2[i] in options
 
 
-def test_tower_row_examples():
+def test_quotient_row_examples():
     lam = P((7, 3, 1))
-    assert tower_row(lam, 0).entries == (lam,)
-    assert tower_row(CALIBRATION, 1).entries == e_quotient(CALIBRATION, 2)
-    row3 = tower_row(CALIBRATION, 3)
-    assert len(row3.entries) == 8
-    # The recursion invariant: row k entries pair up into the quotients of row k-1.
-    for k in range(1, 4):
-        upper = tower_row(CALIBRATION, k - 1).entries
-        lower = tower_row(CALIBRATION, k).entries
+    assert e_quotient(lam, 1) == (lam,)
+    assert k_data(CALIBRATION, 1).quotient_row == e_quotient(CALIBRATION, 2)
+    row3 = k_data(CALIBRATION, 3).quotient_row
+    assert len(row3) == 8
+    # The recursion invariant: row k entries pair up into the quotients of row k-1
+    # (row 1 is the 2-quotient of row 0, checked just above).
+    for k in range(2, 4):
+        upper = k_data(CALIBRATION, k - 1).quotient_row
+        lower = k_data(CALIBRATION, k).quotient_row
         for i, p in enumerate(upper):
             assert e_quotient(p, 2) == (lower[2 * i], lower[2 * i + 1])
+
+
+def test_quotient_row_is_the_2_to_the_k_quotient_reordered():
+    # Order-free readers of row k take it from one 2^k-quotient pass.
+    for n in range(17):
+        for lam in partitions_of(n):
+            for k in range(1, n.bit_length() + 2):
+                assert sorted(k_data(lam, k).quotient_row) == sorted(e_quotient(lam, 1 << k))
 
 
 def test_core_tower_examples():
@@ -144,13 +151,13 @@ def test_core_tower_rows_are_two_cores():
 def test_k_data_examples():
     data = k_data(CALIBRATION, 2)
     assert data.core_rows == ((P((1,)),), (P(()), P((1,))))
-    assert data.quotient_row.entries == (P((1, 1)), P((1,)), P(()), P(()))
+    assert data.quotient_row == (P((1, 1)), P((1,)), P(()), P(()))
     small = k_data(P((1,)), 1)
     assert small.core_rows == ((P((1,)),),)
-    assert small.quotient_row.entries == (P(()), P(()))
+    assert small.quotient_row == (P(()), P(()))
     other = k_data(P((3, 2, 2, 2, 1, 1)), 2)
     assert other.core_rows == data.core_rows
-    assert other.quotient_row.entries == (P((1, 1)), P(()), P(()), P(()))
+    assert other.quotient_row == (P((1, 1)), P(()), P(()), P(()))
     with pytest.raises(ValueError, match="k > 0"):
         k_data(CALIBRATION, 0)
 
@@ -165,28 +172,23 @@ def test_partition_from_kdata_roundtrip():
 def test_partition_from_kdata_examples():
     data = k_data(CALIBRATION, 2)
     assert partition_from_kdata(data) == CALIBRATION
-    trivial = KData(
-        k=1,
-        core_rows=((P(()),),),
-        quotient_row=QuotientTowerRow(1, (P(()), P(()))),
-    )
+    trivial = KData(k=1, core_rows=((P(()),),), quotient_row=(P(()), P(())))
     assert partition_from_kdata(trivial) == P(())
     variant = KData(
         k=2,
         core_rows=data.core_rows,
-        quotient_row=QuotientTowerRow(2, (P((1, 1)), P(()), P(()), P(()))),
+        quotient_row=(P((1, 1)), P(()), P(()), P(())),
     )
     assert partition_from_kdata(variant) == P((3, 2, 2, 2, 1, 1))
 
 
 def test_partition_from_kdata_rejects_bad_tables():
-    bad = KData(
-        k=1,
-        core_rows=((P((2,)),),),
-        quotient_row=QuotientTowerRow(1, (P(()), P(()))),
-    )
+    bad = KData(k=1, core_rows=((P((2,)),),), quotient_row=(P(()), P(())))
     with pytest.raises(ValueError, match="not a 2-core"):
         partition_from_kdata(bad)
+    short = KData(k=2, core_rows=((P(()),), (P(()), P(()))), quotient_row=(P(()), P(())))
+    with pytest.raises(ValueError, match=r"quotient row must hold 2\^2 entries"):
+        partition_from_kdata(short)
 
 
 def test_is_two_core():
