@@ -5,6 +5,9 @@ leaves an odd partition; removing it is the restriction map down to
 n - 2^k. Production code computes it with one route on the abacus:
 removing a 2^k-hook slides one bead of the beta-set down by 2^k, and the
 map keeps the one slide whose result passes the abacus oddness count.
+Questions about a whole level read one table per (n, k), built once from
+that route over every odd partition of n: :func:`fiber` looks up the
+preimages of mu, and :func:`commute_verdict` composes four tables.
 Two references stay for the tests and ``oddmaps verify``: exhaustive hook
 enumeration with an oddness filter (:func:`odd_hook_removals`), and a
 tower route that removes a single cell from the right entry of quotient
@@ -122,14 +125,19 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     Accepts 2^k equal to the size of ``lam`` (the result is then empty), so
     that compositions with 2^k + 2^l = n stay inside the domain. Each
     2^k-hook is a slide of a bead b to a free position b - 2^k; exactly one
-    slide may leave an odd partition.
+    slide may leave an odd partition. One count of the beads decides both
+    whether ``lam`` is odd and which slide that is (:func:`_odd_slides`).
     """
     beta = beta_set(lam)
-    if not _is_odd_beta(beta):
+    # Oddness is decided first; 2^k is built only once k is in range.
+    if 0 <= k < lam.size.bit_length():
+        odd, slides = _odd_slides(beta, -(1 << k))
+    else:
+        odd, slides = _is_odd_beta(beta), None
+    if not odd:
         raise ValueError("the map is defined for odd partitions")
-    if k >= lam.size.bit_length():
-        raise ValueError("2^k exceeds the partition size")
-    slides = _odd_slides(beta, -(1 << k))
+    if slides is None:
+        raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
@@ -165,12 +173,17 @@ def remove_odd_hook_via_tower(lam: Partition, k: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _fiber_map(n: int, k: int) -> dict[Partition, tuple[Partition, ...]]:
-    """Preimages of every reached partition, members in descending lex order."""
+def _fiber_map(
+    n: int, k: int
+) -> tuple[dict[Partition, Partition], dict[Partition, tuple[Partition, ...]]]:
+    """f_k on the whole level n: the image of every odd partition of n, in
+    the order of :func:`odd_partitions`, and the preimages of every reached
+    partition, members in descending lex order."""
+    images = {lam: remove_odd_hook(lam, k) for lam in odd_partitions(n)}
     buckets: dict[Partition, list[Partition]] = {}
-    for lam in odd_partitions(n):
-        buckets.setdefault(remove_odd_hook(lam, k), []).append(lam)
-    return {mu: tuple(members) for mu, members in buckets.items()}
+    for lam, mu in images.items():
+        buckets.setdefault(mu, []).append(lam)
+    return images, {mu: tuple(members) for mu, members in buckets.items()}
 
 
 def _check_fiber_args(mu: Partition, n: int, k: int) -> None:
@@ -185,7 +198,8 @@ def _check_fiber_args(mu: Partition, n: int, k: int) -> None:
 def fiber(mu: Partition, n: int, k: int) -> Fiber:
     """The set of odd partitions of n mapping to ``mu``, by brute force."""
     _check_fiber_args(mu, n, k)
-    return Fiber(mu=mu, n=n, k=k, members=_fiber_map(n, k).get(mu, ()))
+    _, fibers = _fiber_map(n, k)
+    return Fiber(mu=mu, n=n, k=k, members=fibers.get(mu, ()))
 
 
 def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
@@ -251,9 +265,19 @@ def _composition_disagrees(lam: Partition, inst: CommuteInstance) -> bool:
 
 def commute_verdict(inst: CommuteInstance) -> CommuteVerdict:
     """Exhaustive check over all odd partitions of n; the witness, if any,
-    is the lexicographically greatest counterexample."""
-    for lam in odd_partitions(inst.n):
-        if _composition_disagrees(lam, inst):
+    is the lexicographically greatest counterexample.
+
+    Both compositions are read from the level tables of :func:`_fiber_map`:
+    f_l and f_k on n, then f_k on n - 2^l and f_l on n - 2^k, walked in the
+    order of :func:`odd_partitions`.
+    """
+    n, k, l = inst.n, inst.k, inst.l
+    via_l, _ = _fiber_map(n, l)
+    via_k, _ = _fiber_map(n, k)
+    then_k, _ = _fiber_map(n - (1 << l), k)
+    then_l, _ = _fiber_map(n - (1 << k), l)
+    for lam, mu in via_l.items():
+        if then_k[mu] != then_l[via_k[lam]]:
             return CommuteVerdict(instance=inst, commutes=False, witness=lam)
     return CommuteVerdict(instance=inst, commutes=True, witness=None)
 

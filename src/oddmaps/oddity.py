@@ -4,9 +4,13 @@ A partition labels an odd-degree character exactly when every row of its
 2-core tower has weight at most 1. Production code decides that on the
 abacus: the weight of tower row k depends only on how many beads of a
 beta-set fall in each residue class mod 2^(k+1), so no tower is built.
-The tower route (``core_tower`` and :func:`is_odd_via_row`, which reads
-quotient row k as the 2^k-quotient) stays as the reference that the tests
-compare the count against.
+Hook additions and removals of length 2^k are bead slides by 2^k, and
+:func:`_odd_slides` tests all of them from one count of the beta-set: a
+slide leaves the rows below k as they are and changes each row from k up
+in at most two pairs of residue classes, so each candidate costs one
+update per row instead of a recount. The tower route (``core_tower`` and
+:func:`is_odd_via_row`, which reads quotient row k as the 2^k-quotient)
+stays as the reference that the tests compare the count against.
 
 Two enumerators use the criterion: a filter over all partitions (reference)
 and a constructive one on the abacus. With 2^t the top binary digit of n,
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .partition import (
     Partition,
@@ -81,22 +86,66 @@ def _is_odd_beta(beta: tuple[int, ...]) -> bool:
     return True
 
 
-def _odd_slides(beta: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
-    """Every beta-set reached from ``beta`` by sliding one bead b to a free
-    position b + step >= 0 whose partition passes :func:`_is_odd_beta`.
+def _odd_slides(beta: tuple[int, ...], step: int) -> tuple[bool, list[tuple[int, ...]]]:
+    """Whether ``beta`` passes :func:`_is_odd_beta`, and every beta-set
+    reached from it by sliding one bead b to a free position b + step >= 0
+    whose partition passes it.
 
     A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in place,
-    so a slide up may leave the tuple out of order.
+    so a slide up may leave the tuple out of order. The residue counts are
+    taken once, for every row either size needs. A pair of classes holding
+    a and c beads weighs T(a - c) with T(d) = d(d-1)/2, the formula of
+    :func:`_is_odd_beta` rewritten. A slide by 2^k changes no residue
+    mod 2^(j+1) for j < k, so those rows keep their weight. At a row j >= k
+    the bead leaves a class x and enters a class y, and only their pairs
+    change weight: leaving x adds cnt[x ^ 2^j] - cnt[x] + [x even], entering
+    y adds cnt[y] - cnt[y ^ 2^j] + [y odd], and at j = k, where x and y
+    share one pair, the second step sees the first and adds 1 more. So a
+    candidate costs O(1) per row from k up.
     """
+    s = len(beta)
+    n = sum(beta) - s * (s - 1) // 2
+    target = n + step
+    rows = max(n, target).bit_length()
+    # The finest row first: the classes of row j mod 2^(j+1) merge pairs of
+    # the classes of row j + 1.
+    mask = (1 << rows) - 1
+    cnt = [0] * (mask + 1)
+    for b in beta:
+        cnt[b & mask] += 1
+    counts = []
+    weights = []
+    for _ in range(rows):
+        half = len(cnt) // 2
+        low, high = cnt[:half], cnt[half:]
+        diffs = list(map(sub, low, high))
+        counts.append(cnt)
+        weights.append((sum(map(mul, diffs, diffs)) - sum(diffs)) // 2)
+        cnt = list(map(add, low, high))
+    counts.reverse()
+    weights.reverse()
+    odd = all(w <= 1 for w in weights[: n.bit_length()])
+    k = abs(step).bit_length() - 1
+    checked = max(target, 0).bit_length()
+    if any(w > 1 for w in weights[: min(k, checked)]):
+        return odd, []
+    # Row k's starting weight carries the extra 1 of a slide within one pair.
+    checks = [(counts[j], 1 << j, (2 << j) - 1, weights[j] + (j == k)) for j in range(k, checked)]
     occupied = set(beta)
     slides = []
     for i, b in enumerate(beta):
         c = b + step
-        if c >= 0 and c not in occupied:
-            moved = beta[:i] + (c,) + beta[i + 1 :]
-            if _is_odd_beta(moved):
-                slides.append(moved)
-    return slides
+        if c < 0 or c in occupied:
+            continue
+        for cnt, half, mask, weight in checks:
+            x = b & mask
+            y = c & mask
+            weight += cnt[x ^ half] - cnt[x] + cnt[y] - cnt[y ^ half] + (x < half) + (y >= half)
+            if weight > 1:
+                break
+        else:
+            slides.append(beta[:i] + (c,) + beta[i + 1 :])
+    return odd, slides
 
 
 def is_odd(lam: Partition) -> bool:
@@ -144,7 +193,7 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
     step = 1 << t
     found = []
     for mu in odd_partitions(n - step):
-        slides = _odd_slides(beta_set(mu, len(mu) + step), step)
+        _, slides = _odd_slides(beta_set(mu, len(mu) + step), step)
         if len(slides) != step:
             raise RuntimeError(
                 f"{mu} has {len(slides)} odd 2^{t}-hook additions, expected {step}"

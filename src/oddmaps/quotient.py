@@ -101,13 +101,25 @@ def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
     s = -(-len(lam) // e) * e
     classes = _residue_classes(beta_set(lam, s), e)
     quotient = tuple(partition_from_beta(c) for c in classes)
-    pushed = [r + e * j for r, c in enumerate(classes) for j in range(len(c))]
-    return CoreQuotient(e=e, core=partition_from_beta(pushed), quotient=quotient)
+    return CoreQuotient(e=e, core=_pushed_up([len(c) for c in classes], e), quotient=quotient)
+
+
+def _pushed_up(counts: list[int], e: int) -> Partition:
+    """The e-core whose abacus holds counts[r] beads on runner r, all pushed up."""
+    return partition_from_beta(r + e * j for r, c in enumerate(counts) for j in range(c))
 
 
 def e_core(lam: Partition, e: int) -> Partition:
-    """The partition left after all hooks of length e are removed."""
-    return core_and_quotient(lam, e).core
+    """The partition left after all hooks of length e are removed.
+
+    Only the number of beads on each runner matters, so no quotient is built.
+    """
+    if e < 1:
+        raise ValueError("e must be at least 1")
+    counts = [0] * e
+    for x in beta_set(lam, -(-len(lam) // e) * e):
+        counts[x % e] += 1
+    return _pushed_up(counts, e)
 
 
 def e_quotient(lam: Partition, e: int) -> tuple[Partition, ...]:

@@ -6,6 +6,7 @@ import random
 from typing import Iterator
 
 from oddmaps import CommuteInstance, Partition
+from oddmaps.oddity import _is_odd_beta
 
 
 def random_partition(rng: random.Random, max_size: int) -> Partition:
@@ -30,6 +31,18 @@ def commute_instances(n_max: int) -> Iterator[CommuteInstance]:
                 if (1 << k) + (1 << l) <= n:
                     yield CommuteInstance(n=n, k=k, l=l)
             l += 1
+
+
+def slides_by_recount(beta: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
+    """Every slide of one bead of ``beta`` by ``step`` to a free position
+    that stays odd, each moved tuple recounted from scratch."""
+    occupied = set(beta)
+    moved = (
+        beta[:i] + (b + step,) + beta[i + 1 :]
+        for i, b in enumerate(beta)
+        if b + step >= 0 and b + step not in occupied
+    )
+    return [m for m in moved if _is_odd_beta(m)]
 
 
 def recording_executor(created: list[int]) -> type:

@@ -340,6 +340,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 0
 
 
+def test_negative_fk_k_exits_2_with_its_own_message(capsys):
+    code = main(["fk", "--n", "3", "--k", "-1", "--lambda", "[3]"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: k must be non-negative\n"
+
+
 def test_huge_k_exits_2_without_building_2_to_the_k(capsys):
     huge = "200000000"
     cases = [

@@ -47,6 +47,8 @@ def test_remove_odd_hook_rejects_bad_input():
         remove_odd_hook(P((2, 1)), 0)
     with pytest.raises(ValueError, match="exceeds"):
         remove_odd_hook(P((3, 1)), 3)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        remove_odd_hook(P((3,)), -1)
 
 
 def test_both_routes_agree():
@@ -92,6 +94,15 @@ def test_fiber_examples():
         fiber(P((2,)), 7, 2)
     with pytest.raises(ValueError, match="odd"):
         fiber(P((2, 1)), 7, 2)
+
+
+def test_fiber_members_in_enumeration_order():
+    for n in range(2, 17):
+        for k in range(n.bit_length()):
+            images = [(lam, remove_odd_hook(lam, k)) for lam in odd_partitions(n)]
+            for mu in odd_partitions(n - (1 << k)):
+                expected = tuple(lam for lam, image in images if image == mu)
+                assert fiber(mu, n, k).members == expected, (mu, n, k)
 
 
 def test_fiber_size_formula_examples():
@@ -173,6 +184,14 @@ def test_commute_verdict_witness_is_lex_greatest():
     inst = CommuteInstance(12, 1, 2)
     witnesses = [lam for lam in odd_partitions(12) if compositions_disagree(lam, inst)]
     assert commute_verdict(inst).witness == max(witnesses)
+
+
+def test_commute_verdict_matches_the_four_call_composition():
+    for inst in commute_instances(24):
+        witnesses = [lam for lam in odd_partitions(inst.n) if compositions_disagree(lam, inst)]
+        verdict = commute_verdict(inst)
+        assert verdict.commutes == (not witnesses), inst
+        assert verdict.witness == (witnesses[0] if witnesses else None), inst
 
 
 def test_counterexample_witness_examples():

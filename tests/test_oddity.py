@@ -2,6 +2,7 @@ from collections import defaultdict
 
 import pytest
 
+from helpers import slides_by_recount
 from oddmaps import (
     Partition,
     dnk,
@@ -11,8 +12,8 @@ from oddmaps import (
     odd_partitions_by_filter,
     partitions_of,
 )
-from oddmaps.oddity import d_good, is_odd_via_row
-from oddmaps.partition import all_two_disjoint, hooks_of_length, remove_hook
+from oddmaps.oddity import _is_odd_beta, _odd_slides, d_good, is_odd_via_row
+from oddmaps.partition import all_two_disjoint, beta_set, hooks_of_length, remove_hook
 from oddmaps.quotient import core_tower, e_core, e_quotient, k_data
 
 P = Partition
@@ -34,6 +35,19 @@ def test_is_odd_matches_core_tower():
     for n in range(21):
         for lam in partitions_of(n):
             assert is_odd(lam) == all(w <= 1 for w in core_tower(lam).weights), lam
+
+
+def test_odd_slides_match_a_full_recount():
+    # Odd and even bases alike, padded or not, sliding up and down.
+    for n in range(19):
+        for lam in partitions_of(n):
+            for padding in range(4):
+                beta = beta_set(lam, len(lam) + padding)
+                odd = _is_odd_beta(beta)
+                for k in range(6):
+                    for step in (1 << k, -(1 << k)):
+                        expected = (odd, slides_by_recount(beta, step))
+                        assert _odd_slides(beta, step) == expected, (lam, padding, step)
 
 
 def test_is_odd_via_row_examples():

@@ -1,10 +1,12 @@
 """Property tests across representations: partitions and beta-sets, the
-abacus oddness count against the core tower and the degree valuation, and
-the bead-slide map against hook enumeration."""
+abacus oddness count against the core tower and the degree valuation, the
+bead-slide map against hook enumeration, and the per-slide weight updates
+against a full recount."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import slides_by_recount
 from oddmaps import (
     Partition,
     is_odd,
@@ -13,6 +15,7 @@ from oddmaps import (
     odd_partitions,
     remove_odd_hook,
 )
+from oddmaps.oddity import _odd_slides
 from oddmaps.partition import beta_set, partition_from_beta
 from oddmaps.quotient import core_tower
 
@@ -57,3 +60,11 @@ def test_abacus_oddness_matches_core_tower_and_degree(lam):
 def test_remove_odd_hook_matches_hook_enumeration(lam, data):
     k = data.draw(st.integers(0, lam.size.bit_length() - 1))
     assert odd_hook_removals(lam, k) == (remove_odd_hook(lam, k),)
+
+
+@reproducible
+@given(odd_members(), st.integers(0, 3), st.integers(0, 6), st.booleans())
+def test_odd_slides_match_a_full_recount(lam, padding, k, up):
+    beta = beta_set(lam, len(lam) + padding)
+    step = 1 << k if up else -(1 << k)
+    assert _odd_slides(beta, step) == (True, slides_by_recount(beta, step))

@@ -36,6 +36,13 @@ def test_e_core_examples():
     assert e_core(P(()), 3) == P(())
 
 
+def test_e_core_is_the_core_of_core_and_quotient():
+    for n in range(17):
+        for lam in partitions_of(n):
+            for e in range(1, 7):
+                assert e_core(lam, e) == core_and_quotient(lam, e).core, (lam, e)
+
+
 def test_e_core_has_no_e_hooks():
     for n in range(15):
         for lam in partitions_of(n):
