@@ -7,8 +7,8 @@ oracle. See the ``oddmaps`` CLI for the command-line surface.
 
 The package root exports the objects and maps the paper is about, the
 references that check them, and ``cross_validate``. Everything else,
-such as the quotient towers, the hook primitives and the oracle's parts,
-is imported from its submodule.
+such as the quotient tables, the oracle's parts and the other reference
+routes (hook enumeration, the core tower), is imported from its submodule.
 """
 
 from .maps import (
@@ -19,15 +19,14 @@ from .maps import (
     fiber_size_formula,
     image_misses,
     is_surjective,
-    odd_hook_removals,
     predicted_commute,
     remove_odd_hook,
-    remove_odd_hook_via_tower,
 )
-from .oddity import dnk, is_odd, odd_partitions, odd_partitions_by_filter
+from .oddity import dnk, is_odd, odd_partitions
 from .oracle import cross_validate
 from .partition import Partition, nu2_degree, partitions_of
 from .quotient import k_data
+from .reference import odd_hook_removals, odd_partitions_by_filter, remove_odd_hook_via_tower
 
 __version__ = "0.1.0"
 

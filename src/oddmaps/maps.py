@@ -7,12 +7,13 @@ removing a 2^k-hook slides one bead of the beta-set down by 2^k, and the
 map keeps the one slide whose result passes the abacus oddness count.
 Questions about a whole level read one table per (n, k), built once from
 that route over every odd partition of n: :func:`fiber` looks up the
-preimages of mu, and :func:`commute_verdict` composes four tables.
-Two references stay for the tests and ``oddmaps verify``: exhaustive hook
-enumeration with an oddness filter (:func:`odd_hook_removals`), and a
-tower route that removes a single cell from the right entry of quotient
-row k and rebuilds (:func:`remove_odd_hook_via_tower`). The branching
-oracle checks the map independently of both.
+preimages of mu, :func:`image_misses` lists the partitions no preimage
+reaches, and :func:`commute_verdict` composes four tables.
+``oddmaps verify`` checks the route against the branching oracle. The
+tests also check it against two second routes kept in ``reference``:
+exhaustive hook enumeration with an oddness filter, and tower surgery
+that removes a single cell from the right entry of quotient row k and
+rebuilds the partition.
 
 On top of the map sit the classification results this package exists to
 verify: fiber sizes are always 0, 2 or 2^k and are predicted without
@@ -29,23 +30,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .oddity import _is_odd_beta, _odd_slides, d_good, dnk, is_odd, odd_partitions
-from .partition import (
-    Partition,
-    all_two_disjoint,
-    beta_set,
-    hooks_of_length,
-    partition_from_beta,
-    remove_hook,
-)
-from .quotient import KData, e_quotient, from_core_quotient, k_data, partition_from_kdata
+from .partition import Partition, beta_set, partition_from_beta
+from .quotient import e_quotient, from_core_quotient
 
 __all__ = [
     "Fiber",
     "CommuteInstance",
     "CommuteVerdict",
-    "odd_hook_removals",
     "remove_odd_hook",
-    "remove_odd_hook_via_tower",
     "fiber",
     "fiber_size_formula",
     "image_misses",
@@ -108,16 +100,6 @@ class CommuteVerdict:
             raise ValueError("witness must be present exactly when the maps disagree")
 
 
-def odd_hook_removals(lam: Partition, k: int) -> tuple[Partition, ...]:
-    """All odd partitions reachable from ``lam`` by removing one 2^k-hook."""
-    return tuple(
-        mu
-        for h in hooks_of_length(lam, 1 << k)
-        for mu in (remove_hook(lam, h),)
-        if is_odd(mu)
-    )
-
-
 def remove_odd_hook(lam: Partition, k: int) -> Partition:
     """Remove the unique 2^k-hook of the odd partition ``lam`` whose removal
     stays odd.
@@ -143,33 +125,6 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
         )
     return partition_from_beta(slides[0])
-
-
-def remove_odd_hook_via_tower(lam: Partition, k: int) -> Partition:
-    """Tower route for k >= 1: removing an odd 2^k-hook leaves the core rows
-    below k untouched and removes a single cell from one entry of quotient
-    row k; only one entry admits that without breaking 2-disjointness."""
-    if k < 1:
-        raise ValueError("the tower route needs k >= 1")
-    if not is_odd(lam):
-        raise ValueError("the map is defined for odd partitions")
-    if (1 << k) > lam.size:
-        raise ValueError("2^k exceeds the partition size")
-    data = k_data(lam, k)
-    row = data.quotient_row
-    sizes = [p.size for p in row]
-    hits = [
-        i
-        for i, s in enumerate(sizes)
-        if s >= 1 and all_two_disjoint(sizes[:i] + [s - 1] + sizes[i + 1 :])
-    ]
-    if len(hits) != 1:
-        raise RuntimeError(f"{lam}: {len(hits)} tower entries admit a cell removal")
-    i = hits[0]
-    shrunk = odd_hook_removals(row[i], 0)
-    if len(shrunk) != 1:
-        raise RuntimeError(f"tower entry {row[i]} has {len(shrunk)} odd cell removals")
-    return partition_from_kdata(KData(k, data.core_rows, row[:i] + shrunk + row[i + 1 :]))
 
 
 @lru_cache(maxsize=None)
@@ -217,21 +172,24 @@ def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
 
 
 def image_misses(n: int, k: int) -> tuple[Partition, ...]:
-    """Odd partitions of n - 2^k with empty fiber, descending lexicographic."""
-    if n < 1 or k >= (n - 1).bit_length():
+    """Odd partitions of n - 2^k with empty fiber, descending lexicographic.
+
+    Read from the level table of :func:`_fiber_map`: the odd partitions of
+    n - 2^k that no odd partition of n maps to.
+    """
+    if n < 1 or k < 0 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")
-    return tuple(
-        mu for mu in odd_partitions(n - (1 << k)) if fiber_size_formula(mu, n, k) == 0
-    )
+    _, fibers = _fiber_map(n, k)
+    return tuple(mu for mu in odd_partitions(n - (1 << k)) if mu not in fibers)
 
 
 def is_surjective(n: int, k: int, verify: bool = False) -> bool:
     """Whether every odd partition of n - 2^k has a nonempty fiber.
 
     Closed criterion: depth d(n, k) at most 2 for k = 0, at most 1 for
-    k > 0. With ``verify`` the criterion is checked against
-    :func:`image_misses`, which applies :func:`fiber_size_formula` to every
-    odd partition of n - 2^k; disagreement would refute the classification.
+    k > 0. With ``verify`` the criterion is checked against the map's
+    actual image, read by :func:`image_misses` from the level table of
+    f_k; disagreement would refute the classification.
     """
     if n < 1 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")

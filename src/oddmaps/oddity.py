@@ -1,23 +1,21 @@
-"""Oddness predicates, odd-partition enumeration, and goodness bookkeeping.
+"""Oddness, odd-partition enumeration, and goodness bookkeeping.
 
 A partition labels an odd-degree character exactly when every row of its
-2-core tower has weight at most 1. Production code decides that on the
+2-core tower has weight at most 1. This module decides that on the
 abacus: the weight of tower row k depends only on how many beads of a
 beta-set fall in each residue class mod 2^(k+1), so no tower is built.
 Hook additions and removals of length 2^k are bead slides by 2^k, and
 :func:`_odd_slides` tests all of them from one count of the beta-set: a
 slide leaves the rows below k as they are and changes each row from k up
 in at most two pairs of residue classes, so each candidate costs one
-update per row instead of a recount. The tower route (``core_tower`` and
-:func:`is_odd_via_row`, which reads quotient row k as the 2^k-quotient)
-stays as the reference that the tests compare the count against.
+update per row instead of a recount. The tests compare the count with
+the core tower of ``reference``.
 
-Two enumerators use the criterion: a filter over all partitions (reference)
-and a constructive one on the abacus. With 2^t the top binary digit of n,
-every odd partition of n is one of the 2^t odd 2^t-hook additions to an odd
-partition of n - 2^t, and adding a 2^t-hook slides one bead b up to a free
-b + 2^t. The constructive route is authoritative for large n; agreement of
-the two is a standing test.
+The enumeration is constructive. With 2^t the top binary digit of n,
+every odd partition of n is one of the 2^t odd 2^t-hook additions to an
+odd partition of n - 2^t, and adding a 2^t-hook slides one bead b up to a
+free b + 2^t. A standing test checks it against the filter over all
+partitions in ``reference``.
 """
 
 from __future__ import annotations
@@ -26,23 +24,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .partition import (
-    Partition,
-    all_two_disjoint,
-    beta_set,
-    is_hook_partition,
-    nu2,
-    partition_from_beta,
-    partitions_of,
-)
-from .quotient import core_tower, e_core, e_quotient
+from .partition import Partition, beta_set, is_hook_partition, nu2, partition_from_beta
+from .quotient import e_core
 
 __all__ = [
     "DnkDecomposition",
     "is_odd",
-    "is_odd_via_row",
     "odd_partitions",
-    "odd_partitions_by_filter",
     "d_good",
     "dnk",
 ]
@@ -157,25 +145,6 @@ def is_odd(lam: Partition) -> bool:
     return _is_odd_beta(beta_set(lam))
 
 
-def is_odd_via_row(lam: Partition, k: int) -> bool:
-    """Oddness decided from tower row k alone.
-
-    Requires: core rows below k each weigh at most 1, all row-k entries are
-    odd, and their sizes are pairwise 2-disjoint. None of that depends on
-    the order of the row, so it is read from the 2^k-quotient of ``lam``
-    ((lam,) at k = 0). Agrees with :func:`is_odd` for every k.
-    """
-    if k < 0:
-        raise ValueError("row index must be non-negative")
-    tower = core_tower(lam)
-    if any(tower.weight(j) > 1 for j in range(k)):
-        return False
-    row = e_quotient(lam, 1 << k)
-    if not all(is_odd(p) for p in row):
-        return False
-    return all_two_disjoint(p.size for p in row)
-
-
 @lru_cache(maxsize=None)
 def odd_partitions(n: int) -> tuple[Partition, ...]:
     """All odd partitions of n, descending lexicographic.
@@ -200,11 +169,6 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
             )
         found.extend(partition_from_beta(beta) for beta in slides)
     return tuple(sorted(found, reverse=True))
-
-
-def odd_partitions_by_filter(n: int) -> tuple[Partition, ...]:
-    """Reference enumeration: filter all partitions of n by :func:`is_odd`."""
-    return tuple(p for p in partitions_of(n) if is_odd(p))
 
 
 def d_good(lam: Partition, d: int) -> bool:

@@ -1,30 +1,26 @@
-"""Partition arithmetic: hooks, rim-hook removal, and 2-adic helpers.
+"""Partition arithmetic: beta-sets, hook lengths, and 2-adic helpers.
 
 Partitions are weakly decreasing tuples of positive integers; the empty
-partition is a first-class value. Rim-hook removal goes through the
-first-column hook lengths (beta numbers), which keeps it linear in the
-number of parts. Character degrees are never materialized: only their
+partition is a first-class value. A beta-set holds the first-column hook
+lengths (beta numbers), the beads of the abacus that the quotient, oddness
+and map modules compute on; removing a rim hook of length L slides one
+bead down by L. Character degrees are never materialized: only their
 2-adic valuations are computed, via the hook length formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
-    "Hook",
     "beta_set",
     "partition_from_beta",
     "hook_lengths",
-    "hooks_of_length",
-    "remove_hook",
     "nu2",
     "nu2_degree",
     "is_hook_partition",
-    "all_two_disjoint",
     "partitions_of",
 ]
 
@@ -88,39 +84,6 @@ class Partition:
         return all(o <= s for o, s in zip(other.parts, self.parts))
 
 
-@dataclass(frozen=True)
-class Hook:
-    """A cell of a partition together with its arm and leg counts.
-
-    Rows and columns are 1-based. The length is arm + leg + 1.
-    """
-
-    row: int
-    col: int
-    arm: int
-    leg: int
-
-    def __post_init__(self) -> None:
-        if self.row < 1 or self.col < 1:
-            raise ValueError("hook cell coordinates are 1-based")
-        if self.arm < 0 or self.leg < 0:
-            raise ValueError("arm and leg must be non-negative")
-
-    @property
-    def length(self) -> int:
-        return self.arm + self.leg + 1
-
-
-def all_two_disjoint(values: Iterable[int]) -> bool:
-    """True iff the values are pairwise 2-disjoint (no shared binary digit)."""
-    total = 0
-    acc = 0
-    for v in values:
-        total += v
-        acc |= v
-    return total == acc
-
-
 def nu2(n: int) -> int:
     """Exponent of the largest power of 2 dividing n (n >= 1)."""
     if n < 1:
@@ -164,38 +127,6 @@ def hook_lengths(lam: Partition) -> list[list[int]]:
         [(row - (j + 1)) + (conj[j] - (i + 1)) + 1 for j in range(row)]
         for i, row in enumerate(lam.parts)
     ]
-
-
-def hooks_of_length(lam: Partition, length: int) -> list[Hook]:
-    """All hooks of ``lam`` with the given exact length, in row-major order."""
-    if length < 1:
-        raise ValueError("hook lengths are positive")
-    conj = lam.conjugate.parts
-    found = []
-    for i, row in enumerate(lam.parts):
-        for j in range(row):
-            arm = row - (j + 1)
-            leg = conj[j] - (i + 1)
-            if arm + leg + 1 == length:
-                found.append(Hook(row=i + 1, col=j + 1, arm=arm, leg=leg))
-    return found
-
-
-def remove_hook(lam: Partition, hook: Hook) -> Partition:
-    """Remove the rim hook at ``hook`` from ``lam``.
-
-    Implemented on the beta numbers: the hook of length L at row i
-    corresponds to replacing beta_i by beta_i - L.
-    """
-    if not (1 <= hook.row <= len(lam)) or not (1 <= hook.col <= lam[hook.row - 1]):
-        raise ValueError("not a hook of this partition")
-    arm = lam[hook.row - 1] - hook.col
-    leg = lam.conjugate[hook.col - 1] - hook.row
-    if arm != hook.arm or leg != hook.leg:
-        raise ValueError("not a hook of this partition")
-    beta = list(beta_set(lam))
-    beta[hook.row - 1] -= hook.length
-    return partition_from_beta(beta)
 
 
 def nu2_degree(lam: Partition) -> int:

@@ -1,4 +1,4 @@
-"""e-cores, e-quotients, and the iterated 2-quotient machinery.
+"""e-cores, e-quotients, and the k-data tables of the 2-quotient tower.
 
 The quotient convention is fixed once and for all: a beta-set whose size is
 a multiple of e, with quotient components ordered by the residue classes of
@@ -13,36 +13,27 @@ Towers iterate the e = 2 decomposition: row k of the quotient tower holds
 Row k holds the components of the 2^k-quotient in another order (the
 abacus fact of James and Kerber), so a question that ignores the order
 reads row k from one ``e_quotient(lam, 2**k)`` pass. Only the k-data
-tables, which rebuild partitions and which the ``tower`` command prints,
-need the order; they walk the tower level by level.
-Production code never builds a tower: oddness and the removal map work
-on bead counts of a beta-set, and the tests check those counts against
-the core tower.
+tables, which the ``tower`` command prints, need the order; they walk
+the tower level by level. Production code never builds a whole tower:
+oddness and the removal map work on bead counts of a beta-set. The full
+core tower and the rebuild of a partition from its k-data are kept in
+``reference``, where the tests check those counts against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partition import (
-    Partition,
-    beta_set,
-    hooks_of_length,
-    partition_from_beta,
-)
+from .partition import Partition, beta_set, partition_from_beta
 
 __all__ = [
     "CoreQuotient",
-    "CoreTower",
     "KData",
     "core_and_quotient",
     "e_core",
     "e_quotient",
     "from_core_quotient",
-    "core_tower",
     "k_data",
-    "partition_from_kdata",
-    "is_two_core",
 ]
 
 
@@ -58,22 +49,6 @@ class CoreQuotient:
     def total(self) -> int:
         """Size of the partition this decomposition came from."""
         return self.core.size + self.e * sum(q.size for q in self.quotient)
-
-
-@dataclass(frozen=True)
-class CoreTower:
-    """2-core tower rows, up to and including the first all-empty tower row.
-
-    ``weights[k]`` is the total number of cells in row k; trailing zero
-    weights are trimmed, so the last stored row (whose entries' sources were
-    all empty) carries no weight entry.
-    """
-
-    rows: tuple[tuple[Partition, ...], ...]
-    weights: tuple[int, ...]
-
-    def weight(self, k: int) -> int:
-        return self.weights[k] if 0 <= k < len(self.weights) else 0
 
 
 @dataclass(frozen=True)
@@ -136,7 +111,9 @@ def from_core_quotient(
     quotient = tuple(quotient)
     if len(quotient) != e:
         raise ValueError(f"quotient must have exactly {e} components")
-    if hooks_of_length(core, e):
+    # An e-core has no e-hook: no bead b >= e with b - e free.
+    beads = set(beta_set(core))
+    if any(b >= e and b - e not in beads for b in beads):
         raise ValueError("not an e-core")
     s = -(-len(core) // e) * e
     while True:
@@ -160,23 +137,6 @@ def _descend(
     return tuple(cq.core for cq in split), tuple(q for cq in split for q in cq.quotient)
 
 
-def core_tower(lam: Partition) -> CoreTower:
-    """The 2-core tower, cut off at the first all-empty tower row."""
-    rows = []
-    weights = []
-    entries = (lam,)
-    while True:
-        cores, below = _descend(entries)
-        rows.append(cores)
-        weights.append(sum(c.size for c in cores))
-        if all(p.size == 0 for p in entries):
-            break
-        entries = below
-    while weights and weights[-1] == 0:
-        weights.pop()
-    return CoreTower(rows=tuple(rows), weights=tuple(weights))
-
-
 def k_data(lam: Partition, k: int) -> KData:
     """Core rows 0..k-1 together with quotient row k."""
     if k < 1:
@@ -187,31 +147,3 @@ def k_data(lam: Partition, k: int) -> KData:
         cores, entries = _descend(entries)
         core_rows.append(cores)
     return KData(k=k, core_rows=tuple(core_rows), quotient_row=entries)
-
-
-def is_two_core(lam: Partition) -> bool:
-    """True iff ``lam`` is a staircase (r, r-1, ..., 1) or empty."""
-    return lam.parts == tuple(range(len(lam), 0, -1))
-
-
-def partition_from_kdata(data: KData) -> Partition:
-    """Rebuild the unique partition with the given k-data (inverse of :func:`k_data`)."""
-    if data.k < 1:
-        raise ValueError("k-data defined for k > 0")
-    if len(data.core_rows) != data.k:
-        raise ValueError(f"expected {data.k} core rows")
-    for j, row in enumerate(data.core_rows):
-        if len(row) != 1 << j:
-            raise ValueError(f"core row {j} must hold 2^{j} entries")
-        for p in row:
-            if not is_two_core(p):
-                raise ValueError("core row entry is not a 2-core")
-    if len(data.quotient_row) != 1 << data.k:
-        raise ValueError(f"quotient row must hold 2^{data.k} entries")
-    level = data.quotient_row
-    for j in range(data.k - 1, -1, -1):
-        level = tuple(
-            from_core_quotient(data.core_rows[j][i], (level[2 * i], level[2 * i + 1]), 2)
-            for i in range(1 << j)
-        )
-    return level[0]

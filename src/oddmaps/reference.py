@@ -1,0 +1,232 @@
+"""Second routes that the tests and the acceptance gate check production against.
+
+Production computes oddness, the odd partitions of n and the removal map
+with one route on the abacus (``oddity`` and ``maps``); nothing there
+imports this module. Each route here answers one of those questions
+another way, straight from the definitions:
+
+- hook enumeration and rim-hook removal cell by cell
+  (:func:`hooks_of_length`, :func:`remove_hook`), and the map as every
+  2^k-hook removal filtered by oddness (:func:`odd_hook_removals`);
+- the 2-core tower (:func:`core_tower`), oddness read from one tower row
+  (:func:`is_odd_via_row`), and the map as tower surgery that removes a
+  single cell from one entry of quotient row k and rebuilds the partition
+  from its k-data (:func:`remove_odd_hook_via_tower`,
+  :func:`partition_from_kdata`);
+- the odd partitions of n as a filter over all partitions of n
+  (:func:`odd_partitions_by_filter`).
+
+The character-theory oracle in ``oracle`` checks the map independently of
+all of them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+from .oddity import is_odd
+from .partition import Partition, beta_set, partition_from_beta, partitions_of
+from .quotient import KData, _descend, e_quotient, from_core_quotient, k_data
+
+__all__ = [
+    "Hook",
+    "CoreTower",
+    "all_two_disjoint",
+    "hooks_of_length",
+    "remove_hook",
+    "core_tower",
+    "is_two_core",
+    "partition_from_kdata",
+    "is_odd_via_row",
+    "odd_partitions_by_filter",
+    "odd_hook_removals",
+    "remove_odd_hook_via_tower",
+]
+
+
+@dataclass(frozen=True)
+class Hook:
+    """A cell of a partition together with its arm and leg counts.
+
+    Rows and columns are 1-based. The length is arm + leg + 1.
+    """
+
+    row: int
+    col: int
+    arm: int
+    leg: int
+
+    def __post_init__(self) -> None:
+        if self.row < 1 or self.col < 1:
+            raise ValueError("hook cell coordinates are 1-based")
+        if self.arm < 0 or self.leg < 0:
+            raise ValueError("arm and leg must be non-negative")
+
+    @property
+    def length(self) -> int:
+        return self.arm + self.leg + 1
+
+
+def all_two_disjoint(values: Iterable[int]) -> bool:
+    """True iff the values are pairwise 2-disjoint (no shared binary digit)."""
+    total = 0
+    acc = 0
+    for v in values:
+        total += v
+        acc |= v
+    return total == acc
+
+
+def hooks_of_length(lam: Partition, length: int) -> list[Hook]:
+    """All hooks of ``lam`` with the given exact length, in row-major order."""
+    if length < 1:
+        raise ValueError("hook lengths are positive")
+    conj = lam.conjugate.parts
+    found = []
+    for i, row in enumerate(lam.parts):
+        for j in range(row):
+            arm = row - (j + 1)
+            leg = conj[j] - (i + 1)
+            if arm + leg + 1 == length:
+                found.append(Hook(row=i + 1, col=j + 1, arm=arm, leg=leg))
+    return found
+
+
+def remove_hook(lam: Partition, hook: Hook) -> Partition:
+    """Remove the rim hook at ``hook`` from ``lam``.
+
+    Implemented on the beta numbers: the hook of length L at row i
+    corresponds to replacing beta_i by beta_i - L.
+    """
+    if not (1 <= hook.row <= len(lam)) or not (1 <= hook.col <= lam[hook.row - 1]):
+        raise ValueError("not a hook of this partition")
+    arm = lam[hook.row - 1] - hook.col
+    leg = lam.conjugate[hook.col - 1] - hook.row
+    if arm != hook.arm or leg != hook.leg:
+        raise ValueError("not a hook of this partition")
+    beta = list(beta_set(lam))
+    beta[hook.row - 1] -= hook.length
+    return partition_from_beta(beta)
+
+
+@dataclass(frozen=True)
+class CoreTower:
+    """2-core tower rows, up to and including the first all-empty tower row.
+
+    ``weights[k]`` is the total number of cells in row k; trailing zero
+    weights are trimmed, so the last stored row (whose entries' sources were
+    all empty) carries no weight entry.
+    """
+
+    rows: tuple[tuple[Partition, ...], ...]
+    weights: tuple[int, ...]
+
+    def weight(self, k: int) -> int:
+        return self.weights[k] if 0 <= k < len(self.weights) else 0
+
+
+def core_tower(lam: Partition) -> CoreTower:
+    """The 2-core tower, cut off at the first all-empty tower row."""
+    rows = []
+    weights = []
+    entries = (lam,)
+    while True:
+        cores, below = _descend(entries)
+        rows.append(cores)
+        weights.append(sum(c.size for c in cores))
+        if all(p.size == 0 for p in entries):
+            break
+        entries = below
+    while weights and weights[-1] == 0:
+        weights.pop()
+    return CoreTower(rows=tuple(rows), weights=tuple(weights))
+
+
+def is_two_core(lam: Partition) -> bool:
+    """True iff ``lam`` is a staircase (r, r-1, ..., 1) or empty."""
+    return lam.parts == tuple(range(len(lam), 0, -1))
+
+
+def partition_from_kdata(data: KData) -> Partition:
+    """Rebuild the unique partition with the given k-data (inverse of :func:`k_data`)."""
+    if data.k < 1:
+        raise ValueError("k-data defined for k > 0")
+    if len(data.core_rows) != data.k:
+        raise ValueError(f"expected {data.k} core rows")
+    for j, row in enumerate(data.core_rows):
+        if len(row) != 1 << j:
+            raise ValueError(f"core row {j} must hold 2^{j} entries")
+        for p in row:
+            if not is_two_core(p):
+                raise ValueError("core row entry is not a 2-core")
+    if len(data.quotient_row) != 1 << data.k:
+        raise ValueError(f"quotient row must hold 2^{data.k} entries")
+    level = data.quotient_row
+    for j in range(data.k - 1, -1, -1):
+        level = tuple(
+            from_core_quotient(data.core_rows[j][i], (level[2 * i], level[2 * i + 1]), 2)
+            for i in range(1 << j)
+        )
+    return level[0]
+
+
+def is_odd_via_row(lam: Partition, k: int) -> bool:
+    """Oddness decided from tower row k alone.
+
+    Requires: core rows below k each weigh at most 1, all row-k entries are
+    odd, and their sizes are pairwise 2-disjoint. None of that depends on
+    the order of the row, so it is read from the 2^k-quotient of ``lam``
+    ((lam,) at k = 0). Agrees with :func:`is_odd` for every k.
+    """
+    if k < 0:
+        raise ValueError("row index must be non-negative")
+    tower = core_tower(lam)
+    if any(tower.weight(j) > 1 for j in range(k)):
+        return False
+    row = e_quotient(lam, 1 << k)
+    if not all(is_odd(p) for p in row):
+        return False
+    return all_two_disjoint(p.size for p in row)
+
+
+def odd_partitions_by_filter(n: int) -> tuple[Partition, ...]:
+    """Reference enumeration: filter all partitions of n by :func:`is_odd`."""
+    return tuple(p for p in partitions_of(n) if is_odd(p))
+
+
+def odd_hook_removals(lam: Partition, k: int) -> tuple[Partition, ...]:
+    """All odd partitions reachable from ``lam`` by removing one 2^k-hook."""
+    return tuple(
+        mu
+        for h in hooks_of_length(lam, 1 << k)
+        for mu in (remove_hook(lam, h),)
+        if is_odd(mu)
+    )
+
+
+def remove_odd_hook_via_tower(lam: Partition, k: int) -> Partition:
+    """Tower route for k >= 1: removing an odd 2^k-hook leaves the core rows
+    below k untouched and removes a single cell from one entry of quotient
+    row k; only one entry admits that without breaking 2-disjointness."""
+    if k < 1:
+        raise ValueError("the tower route needs k >= 1")
+    if not is_odd(lam):
+        raise ValueError("the map is defined for odd partitions")
+    if (1 << k) > lam.size:
+        raise ValueError("2^k exceeds the partition size")
+    data = k_data(lam, k)
+    row = data.quotient_row
+    sizes = [p.size for p in row]
+    hits = [
+        i
+        for i, s in enumerate(sizes)
+        if s >= 1 and all_two_disjoint(sizes[:i] + [s - 1] + sizes[i + 1 :])
+    ]
+    if len(hits) != 1:
+        raise RuntimeError(f"{lam}: {len(hits)} tower entries admit a cell removal")
+    i = hits[0]
+    shrunk = odd_hook_removals(row[i], 0)
+    if len(shrunk) != 1:
+        raise RuntimeError(f"tower entry {row[i]} has {len(shrunk)} odd cell removals")
+    return partition_from_kdata(KData(k, data.core_rows, row[:i] + shrunk + row[i + 1 :]))

@@ -1,10 +1,16 @@
-"""The package's boundaries: what the root exports, and what the oracle imports."""
+"""The package's boundaries: what the root exports, what the oracle imports,
+and that production never imports the reference routes."""
 
 import ast
 from pathlib import Path
 
 import oddmaps
+import oddmaps.cli
+import oddmaps.maps
+import oddmaps.oddity
 import oddmaps.oracle
+import oddmaps.partition
+import oddmaps.quotient
 
 ROOT_API = {
     "Partition",
@@ -29,6 +35,16 @@ ROOT_API = {
     "cross_validate",
 }
 
+# The modules that compute answers; second routes live in oddmaps.reference.
+PRODUCTION = (
+    oddmaps.partition,
+    oddmaps.quotient,
+    oddmaps.oddity,
+    oddmaps.maps,
+    oddmaps.cli,
+    oddmaps.oracle,
+)
+
 
 def test_root_exports_exactly_the_public_api():
     assert len(oddmaps.__all__) == len(ROOT_API)
@@ -37,8 +53,8 @@ def test_root_exports_exactly_the_public_api():
         assert getattr(oddmaps, name) is not None, name
 
 
-def test_oracle_never_imports_the_quotient_machinery():
-    tree = ast.parse(Path(oddmaps.oracle.__file__).read_text())
+def _imported_names(tree: ast.AST) -> list[str]:
+    """Every module and name an import statement anywhere in ``tree`` names."""
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -46,8 +62,21 @@ def test_oracle_never_imports_the_quotient_machinery():
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
+    return imported
+
+
+def test_oracle_never_imports_the_quotient_machinery():
+    tree = ast.parse(Path(oddmaps.oracle.__file__).read_text())
+    imported = _imported_names(tree)
     assert not [name for name in imported if "quotient" in name]
     top_level_relative = {
         node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
     }
     assert top_level_relative == {"partition"}
+
+
+def test_production_never_imports_the_reference_routes():
+    imported = {m: _imported_names(ast.parse(Path(m.__file__).read_text())) for m in PRODUCTION}
+    for module, names in imported.items():
+        assert not [name for name in names if "reference" in name], module
+    assert "hooks_of_length" not in imported[oddmaps.quotient]

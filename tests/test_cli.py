@@ -338,6 +338,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "tower", "--lambda", "[5,4,2,2,1,1]", "--k", "4")
     assert code == 0
+    assert main(["image", "--n", "10", "--k", "-1"]) == 2
+    assert capsys.readouterr().err == "error: need 2^k < n\n"
 
 
 def test_negative_fk_k_exits_2_with_its_own_message(capsys):

@@ -139,6 +139,17 @@ def test_image_misses_examples():
     assert list(misses) == sorted(misses, reverse=True)
 
 
+def test_image_misses_match_the_formula_past_the_gate():
+    # The acceptance gate compares fibers with the formula up to n = 28;
+    # 40 is the CLI's default cap.
+    for n in range(29, 41):
+        for k in range((n - 1).bit_length()):
+            predicted = tuple(
+                mu for mu in odd_partitions(n - (1 << k)) if fiber_size_formula(mu, n, k) == 0
+            )
+            assert image_misses(n, k) == predicted, (n, k)
+
+
 def test_is_surjective_examples():
     assert not is_surjective(8, 0)
     assert is_surjective(12, 0)

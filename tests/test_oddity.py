@@ -12,9 +12,16 @@ from oddmaps import (
     odd_partitions_by_filter,
     partitions_of,
 )
-from oddmaps.oddity import _is_odd_beta, _odd_slides, d_good, is_odd_via_row
-from oddmaps.partition import all_two_disjoint, beta_set, hooks_of_length, remove_hook
-from oddmaps.quotient import core_tower, e_core, e_quotient, k_data
+from oddmaps.oddity import _is_odd_beta, _odd_slides, d_good
+from oddmaps.partition import beta_set
+from oddmaps.quotient import e_core, e_quotient, k_data
+from oddmaps.reference import (
+    all_two_disjoint,
+    core_tower,
+    hooks_of_length,
+    is_odd_via_row,
+    remove_hook,
+)
 
 P = Partition
 

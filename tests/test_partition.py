@@ -6,15 +6,13 @@ import pytest
 
 from oddmaps import Partition, nu2_degree, partitions_of
 from oddmaps.partition import (
-    Hook,
     beta_set,
     hook_lengths,
-    hooks_of_length,
     is_hook_partition,
     nu2,
     partition_from_beta,
-    remove_hook,
 )
+from oddmaps.reference import Hook, hooks_of_length, remove_hook
 
 P = Partition
 

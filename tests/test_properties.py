@@ -17,7 +17,7 @@ from oddmaps import (
 )
 from oddmaps.oddity import _odd_slides
 from oddmaps.partition import beta_set, partition_from_beta
-from oddmaps.quotient import core_tower
+from oddmaps.reference import core_tower
 
 # Reproducible draws, and no example database written to the checkout.
 reproducible = settings(derandomize=True, database=None, deadline=None)

@@ -4,16 +4,20 @@ import pytest
 
 from helpers import random_partition
 from oddmaps import Partition, k_data, partitions_of
-from oddmaps.partition import hook_lengths, hooks_of_length, remove_hook
+from oddmaps.partition import hook_lengths
 from oddmaps.quotient import (
     KData,
     core_and_quotient,
-    core_tower,
     e_core,
     e_quotient,
     from_core_quotient,
+)
+from oddmaps.reference import (
+    core_tower,
+    hooks_of_length,
     is_two_core,
     partition_from_kdata,
+    remove_hook,
 )
 
 P = Partition
@@ -58,6 +62,18 @@ def test_from_core_quotient_examples():
         from_core_quotient(P((2,)), (P(()), P(())), 2)
     with pytest.raises(ValueError):
         from_core_quotient(P((1,)), (P(()),), 2)
+
+
+def test_core_check_agrees_with_hook_enumeration():
+    for n in range(13):
+        for lam in partitions_of(n):
+            for e in range(1, 6):
+                empty = (P(()),) * e
+                if hooks_of_length(lam, e):
+                    with pytest.raises(ValueError, match="not an e-core"):
+                        from_core_quotient(lam, empty, e)
+                else:
+                    assert from_core_quotient(lam, empty, e) == lam, (lam, e)
 
 
 def test_size_identity_full_range():
