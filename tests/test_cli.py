@@ -404,3 +404,120 @@ def test_sweep_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ODDMAPS_MAX_N", "10")
     code, _ = run_cli(capsys, "odd-list", "--n", "11")
     assert code == 2
+
+
+_OPTIONS = (
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --format {text,json,csv}\n"
+    "  --out FILE\n"
+)
+
+# argparse wraps to the terminal width, read from COLUMNS.
+HELP = {
+    (): (
+        "usage: oddmaps [-h]\n"
+        "               {odd-list,fk,fiber,image,surjective,commute,witness,tower,verify}\n"
+        "               ...\n"
+        "\n"
+        "Odd-hook removal maps on partitions and their classification.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {odd-list,fk,fiber,image,surjective,commute,witness,tower,verify}\n"
+        "    odd-list            enumerate odd partitions of n\n"
+        "    fk                  apply the odd-hook removal map\n"
+        "    fiber               preimage of mu under the removal map\n"
+        "    image               odd partitions missed by the removal map\n"
+        "    surjective          surjectivity criterion at (n, k)\n"
+        "    commute             exhaustive commutativity check at (n; k, l)\n"
+        "    witness             construct a non-commutativity witness\n"
+        "    tower               render the k-data table of a partition\n"
+        "    verify              cross-validate against the branching oracle\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    ("odd-list",): (
+        "usage: oddmaps odd-list [-h] [--format {text,json,csv}] [--out FILE] --n N\n"
+        "\n" + _OPTIONS + "  --n N\n"
+    ),
+    ("fk",): (
+        "usage: oddmaps fk [-h] [--format {text,json,csv}] [--out FILE] --n N --k K\n"
+        "                  --lambda LAM\n"
+        "\n" + _OPTIONS + "  --n N\n  --k K\n  --lambda LAM\n"
+    ),
+    ("fiber",): (
+        "usage: oddmaps fiber [-h] [--format {text,json,csv}] [--out FILE] --n N --k K\n"
+        "                     --mu MU\n"
+        "\n" + _OPTIONS + "  --n N\n  --k K\n  --mu MU\n"
+    ),
+    ("image",): (
+        "usage: oddmaps image [-h] [--format {text,json,csv}] [--out FILE] --n N --k K\n"
+        "\n" + _OPTIONS + "  --n N\n  --k K\n"
+    ),
+    ("surjective",): (
+        "usage: oddmaps surjective [-h] [--format {text,json,csv}] [--out FILE] --n N\n"
+        "                          --k K\n"
+        "\n" + _OPTIONS + "  --n N\n  --k K\n"
+    ),
+    ("commute",): (
+        "usage: oddmaps commute [-h] [--format {text,json,csv}] [--out FILE] --n N --k\n"
+        "                       K --l L\n"
+        "\n" + _OPTIONS + "  --n N\n  --k K\n  --l L\n"
+    ),
+    ("witness",): (
+        "usage: oddmaps witness [-h] [--format {text,json,csv}] [--out FILE] --n N --k\n"
+        "                       K --l L\n"
+        "\n" + _OPTIONS + "  --n N\n  --k K\n  --l L\n"
+    ),
+    ("tower",): (
+        "usage: oddmaps tower [-h] [--format {text,json,csv}] [--out FILE] --lambda LAM\n"
+        "                     --k K\n"
+        "\n" + _OPTIONS + "  --lambda LAM\n  --k K\n"
+    ),
+    ("verify",): (
+        "usage: oddmaps verify [-h] [--format {text,json,csv}] [--out FILE] --max-n\n"
+        "                      MAX_N [--jobs JOBS]\n"
+        "\n" + _OPTIONS + "  --max-n MAX_N\n  --jobs JOBS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: " ".join(c) or "oddmaps")
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_cli(capsys, *command, "--help")
+    assert code == 0
+    assert out == HELP[command]
+
+
+# One past the default cap of 40; tower is capped by |lambda|, verify by --max-n.
+OVER_CAP = [
+    ("odd-list", "--n", "41"),
+    ("fk", "--n", "41", "--k", "0", "--lambda", "[41]"),
+    ("fiber", "--n", "41", "--k", "0", "--mu", "[40]"),
+    ("image", "--n", "41", "--k", "0"),
+    ("commute", "--n", "41", "--k", "0", "--l", "1"),
+    ("witness", "--n", "41", "--k", "0", "--l", "1"),
+    ("tower", "--lambda", "[41]", "--k", "1"),
+    ("verify", "--max-n", "41"),
+]
+
+
+@pytest.mark.parametrize("argv", OVER_CAP, ids=lambda argv: argv[0])
+def test_every_capped_command_refuses_the_cap_plus_one(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ODDMAPS_MAX_N", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        f"oddmaps {argv[0]}: error: n=41 exceeds the sweep cap 40"
+        " (set ODDMAPS_MAX_N to raise it)\n"
+    )
+
+
+def test_surjective_is_not_capped(capsys, monkeypatch):
+    monkeypatch.delenv("ODDMAPS_MAX_N", raising=False)
+    code, out = run_cli(capsys, "surjective", "--n", "1000000", "--k", "0")
+    assert (code, out) == (0, "false\n")
