@@ -101,7 +101,9 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if (1 << k) >= lam.size:
+    # 2^k >= |lam| exactly when k >= bit_length(|lam| - 1), and always at
+    # |lam| = 0; compared by bit length so no 2^k is built.
+    if k >= max(lam.size - 1, 0).bit_length():
         raise ValueError("need 2^k < |lam|")
     if nu2_degree(lam) != 0:
         raise ValueError("defined for odd-degree partitions")

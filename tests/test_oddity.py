@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import defaultdict
 
 import pytest
@@ -13,7 +14,7 @@ from oddmaps import (
     partitions_of,
 )
 from oddmaps.oddity import _is_odd_beta, _odd_slides, d_good
-from oddmaps.partition import beta_set
+from oddmaps.partition import beta_set, is_hook_partition
 from oddmaps.quotient import e_core, e_quotient, k_data
 from oddmaps.reference import (
     all_two_disjoint,
@@ -158,6 +159,27 @@ def test_d_good_core_size():
             for d in range(4):
                 if d_good(lam, d):
                     assert e_core(lam, 1 << d).size == (1 << d) - 1
+
+
+def test_d_good_matches_its_definition_at_every_depth():
+    # Past 2^d > |lambda| + 1 the size condition cannot hold.
+    for n in range(0, 13):
+        for lam in odd_partitions(n):
+            for d in range(7):
+                size_ok = n % (2 << d) == (1 << d) - 1
+                assert d_good(lam, d) == (size_ok and is_hook_partition(e_core(lam, 1 << d)))
+    assert [d_good(P((3,)), d) for d in range(5)] == [False, False, True, False, False]
+
+
+def test_d_good_at_a_huge_depth_returns_false_without_building_2_to_the_d():
+    tracemalloc.start()
+    try:
+        good = d_good(P((1,)), 200_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert good is False
+    assert peak < 1 << 20, peak
 
 
 def test_dnk_examples():

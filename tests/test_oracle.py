@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -79,6 +80,26 @@ def test_unique_odd_constituent_rejects_bad_input():
         unique_odd_constituent(P((2, 1)), 0)
     with pytest.raises(ValueError, match="2\\^k"):
         unique_odd_constituent(P((3, 1)), 2)
+
+
+def test_unique_odd_constituent_bound_is_exact_without_building_2_to_the_k():
+    # A one-row partition is odd and keeps one row under every box removal.
+    for size in range(0, 34):
+        lam = P((size,) if size else ())
+        for k in range(8):
+            if (1 << k) >= size:
+                with pytest.raises(ValueError, match=r"need 2\^k < \|lam\|"):
+                    unique_odd_constituent(lam, k)
+            else:
+                assert unique_odd_constituent(lam, k) == P((size - (1 << k),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"need 2\^k < \|lam\|"):
+            unique_odd_constituent(P((3,)), 200_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_cross_validate_small():
