@@ -25,7 +25,8 @@ Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 ``[]`` is the empty partition. ``ODDMAPS_MAX_N`` (default 40) caps ``n`` for
 ``odd-list``, ``fk``, ``fiber``, ``image``, ``commute`` and ``witness``, the
 size of the partition given to ``tower`` and ``verify --max-n``;
-``surjective`` is uncapped, since its criterion is closed-form. ``verify
+``surjective`` is uncapped, since its criterion is closed-form; a value
+that is not an integer is a usage error. ``verify
 --jobs`` starts at most one worker process per level and per CPU.
 """
 
@@ -278,13 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep_cap() -> int:
+    """``ODDMAPS_MAX_N`` as an integer, 40 when it is unset."""
+    text = os.environ.get("ODDMAPS_MAX_N", "40")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"ODDMAPS_MAX_N must be an integer, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         n = attrgetter(command.cap)(args) if command.cap else None
-        if n is not None and n > (cap := int(os.environ.get("ODDMAPS_MAX_N", "40"))):
+        if n is not None and n > (cap := _sweep_cap()):
             args.parser.error(f"n={n} exceeds the sweep cap {cap} (set ODDMAPS_MAX_N to raise it)")
         record = command.record(args)
         _emit(args, record, command)
@@ -301,3 +311,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -11,7 +11,10 @@ tableaux of the skew shape, so the map being certified must send an odd
 partition to the unique odd-degree partition reached with odd skew-tableau
 parity. ``cross_validate`` sweeps that statement, and the plain oddness
 criterion, over everything up to a size bound and reports mismatches as
-data rather than raising.
+data rather than raising. Each odd partition of n takes one walk down the
+one-box lattice, 2^K steps for the largest 2^K < n, and every k is checked
+against the frontier that walk passes at depth 2^k. Degree parities are
+read from plain part tuples.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
-from .partition import Partition, nu2_degree, partitions_of
+from .partition import Partition, _nu2_degree_parts, nu2_degree, partitions_of
 
 __all__ = [
     "Mismatch",
@@ -90,6 +93,29 @@ def skew_syt_parity(lam: Partition, mu: Partition) -> int:
     return 1 if mu.parts in frontier else 0
 
 
+def _frontiers(parts: tuple[int, ...], k_max: int) -> Iterator[set]:
+    """The shapes reached from ``parts`` by an odd number of one-box removal
+    paths at depths 1, 2, 4, ..., 2^k_max, read off one walk as it passes
+    each depth."""
+    frontier = {parts}
+    depth = 0
+    for k in range(k_max + 1):
+        while depth < 1 << k:
+            frontier = _toggle_step(frontier)
+            depth += 1
+        yield frontier
+
+
+def _odd_constituent(lam: Partition, k: int, frontier: set) -> Partition:
+    """The one odd-degree shape in ``lam``'s depth-2^k frontier."""
+    candidates = [nu for nu in frontier if _nu2_degree_parts(nu) == 0]
+    if len(candidates) != 1:
+        raise RuntimeError(
+            f"{lam} at k={k}: {len(candidates)} odd constituents with odd parity"
+        )
+    return Partition(candidates[0])
+
+
 def unique_odd_constituent(lam: Partition, k: int) -> Partition:
     """The one odd-degree partition of |lam| - 2^k reached from ``lam`` with
     odd skew-tableau parity.
@@ -107,15 +133,8 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
         raise ValueError("need 2^k < |lam|")
     if nu2_degree(lam) != 0:
         raise ValueError("defined for odd-degree partitions")
-    frontier = {lam.parts}
-    for _ in range(1 << k):
-        frontier = _toggle_step(frontier)
-    candidates = [nu for nu in frontier if nu2_degree(Partition(nu)) == 0]
-    if len(candidates) != 1:
-        raise RuntimeError(
-            f"{lam} at k={k}: {len(candidates)} odd constituents with odd parity"
-        )
-    return Partition(candidates[0])
+    *_, frontier = _frontiers(lam.parts, k)
+    return _odd_constituent(lam, k, frontier)
 
 
 def _check_level(n: int) -> tuple[int, list[Mismatch]]:
@@ -127,25 +146,26 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     mismatches: list[Mismatch] = []
     odd_by_degree = []
     for lam in partitions_of(n):
-        expected = nu2_degree(lam) == 0
+        expected = _nu2_degree_parts(lam.parts) == 0
         got = is_odd(lam)
         checks += 1
         if expected != got:
             mismatches.append(Mismatch(lam=lam, k=None, expected=expected, got=got))
         if expected:
             odd_by_degree.append(lam)
+    # The largest k with 2^k < n; -1 at n = 1, where no k is checked.
+    k_max = (n - 1).bit_length() - 1
     for lam in odd_by_degree:
-        k = 0
-        while (1 << k) < n:
+        # One walk per lam serves every k.
+        for k, frontier in enumerate(_frontiers(lam.parts, k_max)):
             try:
-                expected_mu: Any = unique_odd_constituent(lam, k)
+                expected_mu: Any = _odd_constituent(lam, k, frontier)
             except RuntimeError as exc:
                 expected_mu = f"oracle failure: {exc}"
             got_mu = remove_odd_hook(lam, k)
             checks += 1
             if expected_mu != got_mu:
                 mismatches.append(Mismatch(lam=lam, k=k, expected=expected_mu, got=got_mu))
-            k += 1
     return checks, mismatches
 
 

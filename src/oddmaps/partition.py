@@ -5,7 +5,7 @@ partition is a first-class value. A beta-set holds the first-column hook
 lengths (beta numbers), the beads of the abacus that the quotient, oddness
 and map modules compute on; removing a rim hook of length L slides one
 bead down by L. Character degrees are never materialized: only their
-2-adic valuations are computed, via the hook length formula.
+2-adic valuations are computed, via Frobenius's formula on beta numbers.
 """
 
 from __future__ import annotations
@@ -129,19 +129,36 @@ def hook_lengths(lam: Partition) -> list[list[int]]:
     ]
 
 
+def _nu2_degree_parts(parts: tuple[int, ...]) -> int:
+    """2-adic valuation of the character degree labelled by the part tuple
+    ``parts``, from Frobenius's formula on its beta numbers; 0 for ().
+
+    The beta numbers b_i are computed here, not by :func:`beta_set`, so the
+    oracle that relies on this helper shares no code with that primitive.
+    """
+    m = len(parts)
+    betas = [p + m - 1 - i for i, p in enumerate(parts)]
+    n = sum(parts)
+    total = n - n.bit_count()
+    for i, b in enumerate(betas):
+        total -= b - b.bit_count()
+        for c in betas[i + 1 :]:
+            d = b - c
+            total += (d & -d).bit_length() - 1
+    return total
+
+
 def nu2_degree(lam: Partition) -> int:
     """2-adic valuation of the character degree labelled by ``lam``.
 
-    Uses the hook length formula: nu2(n!) - sum of nu2 over all hook
-    lengths, with nu2(n!) = n - (number of binary digits of n).
+    Evaluates Frobenius's degree formula on the beta numbers
+    b_i = lam_i + len(lam) - i, in valuations:
+    nu2(n!) + sum over i < j of nu2(b_i - b_j) - sum over i of nu2(b_i!),
+    with nu2(m!) = m - (number of ones in the binary expansion of m).
     """
     if lam.size == 0:
         raise ValueError("degree valuation undefined for the empty partition")
-    total = lam.size - bin(lam.size).count("1")
-    for row in hook_lengths(lam):
-        for h in row:
-            total -= (h & -h).bit_length() - 1
-    return total
+    return _nu2_degree_parts(lam.parts)
 
 
 def is_hook_partition(lam: Partition) -> bool:

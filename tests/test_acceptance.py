@@ -36,7 +36,8 @@ P = Partition
 
 
 class _Gate:
-    """Measure one criterion and print its verdict line."""
+    """Measure one criterion and print its verdict line, with its runtime
+    and its budget."""
 
     def __init__(self, number: int, label: str, budget_s: float):
         self.number = number
@@ -50,7 +51,10 @@ class _Gate:
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.perf_counter() - self.start
         status = "PASS" if exc_type is None else "FAIL"
-        print(f"ACCEPTANCE {self.number:2d} {self.label}: {status} ({elapsed:.1f}s)")
+        print(
+            f"ACCEPTANCE {self.number:2d} {self.label}: {status} ({elapsed:.1f}s)"
+            f" budget {self.budget_s:g}s"
+        )
         if exc_type is None:
             assert elapsed < self.budget_s, (
                 f"criterion {self.number} exceeded its {self.budget_s}s budget"

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -404,6 +408,37 @@ def test_sweep_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ODDMAPS_MAX_N", "10")
     code, _ = run_cli(capsys, "odd-list", "--n", "11")
     assert code == 2
+
+
+def test_malformed_sweep_cap_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("ODDMAPS_MAX_N", "abc")
+    code = main(["fk", "--n", "4", "--k", "0", "--lambda", "[3]"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: ODDMAPS_MAX_N must be an integer, got 'abc'\n"
+    # surjective is uncapped, so it never reads the variable.
+    code, out = run_cli(capsys, "surjective", "--n", "4", "--k", "0")
+    assert (code, out) == (0, "true\n")
+    monkeypatch.setenv("ODDMAPS_MAX_N", " 12 ")
+    code, out = run_cli(capsys, "odd-list", "--n", "12")
+    assert code == 0 and out.strip() != ""
+    code, _ = run_cli(capsys, "odd-list", "--n", "13")
+    assert code == 2
+
+
+@pytest.mark.parametrize("module", ["oddmaps", "oddmaps.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "odd-list", "--n", "3"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    # The odd partitions of 3: [2,1] has even degree 2.
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[3]\n[1,1,1]\n", "")
 
 
 _OPTIONS = (

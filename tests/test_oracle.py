@@ -5,7 +5,8 @@ import pytest
 
 from helpers import recording_executor
 from oddmaps import Partition, cross_validate, partitions_of, remove_odd_hook
-from oddmaps.oracle import skew_syt_parity, unique_odd_constituent
+from oddmaps.oracle import _frontiers, skew_syt_parity, unique_odd_constituent
+from oddmaps.partition import nu2_degree
 
 P = Partition
 
@@ -100,6 +101,27 @@ def test_unique_odd_constituent_bound_is_exact_without_building_2_to_the_k():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_one_walk_frontiers_match_skew_parities():
+    # The depth-2^k frontier of one walk from lam, for every k at once, is
+    # the set of mu of size n - 2^k with odd skew-tableau parity.
+    for n in range(2, 15):
+        k_max = (n - 1).bit_length() - 1
+        for lam in partitions_of(n):
+            if nu2_degree(lam) != 0:
+                continue
+            frontiers = list(_frontiers(lam.parts, k_max))
+            assert len(frontiers) == k_max + 1
+            for k, frontier in enumerate(frontiers):
+                brute = {
+                    mu.parts
+                    for mu in partitions_of(n - (1 << k))
+                    if lam.contains(mu) and skew_syt_parity(lam, mu) == 1
+                }
+                assert frontier == brute, (lam, k)
+                assert unique_odd_constituent(lam, k) == remove_odd_hook(lam, k), (lam, k)
+    assert list(_frontiers((1,), -1)) == []
 
 
 def test_cross_validate_small():

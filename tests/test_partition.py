@@ -6,6 +6,7 @@ import pytest
 
 from oddmaps import Partition, nu2_degree, partitions_of
 from oddmaps.partition import (
+    _nu2_degree_parts,
     beta_set,
     hook_lengths,
     is_hook_partition,
@@ -109,6 +110,16 @@ def test_nu2_degree_examples():
         assert nu2_degree(P((n,))) == 0
     with pytest.raises(ValueError):
         nu2_degree(P(()))
+
+
+def test_tuple_degree_helper_matches_the_hook_length_formula():
+    for n in range(1, 23):
+        for lam in partitions_of(n):
+            hooks = [h for row in hook_lengths(lam) for h in row]
+            expected = n - bin(n).count("1") - sum(nu2(h) for h in hooks)
+            assert _nu2_degree_parts(lam.parts) == expected, lam
+            assert nu2_degree(lam) == expected, lam
+    assert _nu2_degree_parts(()) == 0
 
 
 def test_nu2():
