@@ -8,7 +8,11 @@ map keeps the one slide whose result passes the abacus oddness count.
 Questions about a whole level read one table per (n, k), built once from
 that route over every odd partition of n: :func:`fiber` looks up the
 preimages of mu, :func:`image_misses` lists the partitions no preimage
-reaches, and :func:`commute_verdict` composes four tables.
+reaches, and :func:`commute_verdict` composes four tables. The tables
+enter the route by its known-odd entry: every partition of the level comes
+from the enumeration, so its tower's row weights are the binary digits of
+n and are not counted again, and its image is built without re-checking
+the slid beads.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -29,8 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .oddity import _is_odd_beta, _odd_slides, d_good, dnk, is_odd, odd_partitions
-from .partition import Partition, beta_set, partition_from_beta
+from .oddity import (
+    _is_odd_beta,
+    _known_odd_slides,
+    _odd_slides,
+    d_good,
+    dnk,
+    is_odd,
+    odd_partitions,
+)
+from .partition import Partition, _partition_from_slid_beads, beta_set
 from .quotient import e_quotient, from_core_quotient
 
 __all__ = [
@@ -120,11 +132,16 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
         raise ValueError("the map is defined for odd partitions")
     if slides is None:
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
+    return _only_removal(lam, k, slides)
+
+
+def _only_removal(lam: Partition, k: int, slides: list[tuple[int, ...]]) -> Partition:
+    """The partition of the one odd 2^k-hook removal in ``slides``."""
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
         )
-    return partition_from_beta(slides[0])
+    return _partition_from_slid_beads(slides[0])
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +150,17 @@ def _fiber_map(
 ) -> tuple[dict[Partition, Partition], dict[Partition, tuple[Partition, ...]]]:
     """f_k on the whole level n: the image of every odd partition of n, in
     the order of :func:`odd_partitions`, and the preimages of every reached
-    partition, members in descending lex order."""
-    images = {lam: remove_odd_hook(lam, k) for lam in odd_partitions(n)}
+    partition, members in descending lex order.
+
+    Every partition here comes from :func:`odd_partitions` and so is odd:
+    its slides are read by :func:`_known_odd_slides`, which takes the tower's
+    row weights from the binary digits of n instead of counting them.
+    """
+    step = -(1 << k)
+    images = {
+        lam: _only_removal(lam, k, _known_odd_slides(beta_set(lam), n, step))
+        for lam in odd_partitions(n)
+    }
     buckets: dict[Partition, list[Partition]] = {}
     for lam, mu in images.items():
         buckets.setdefault(mu, []).append(lam)

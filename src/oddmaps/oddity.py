@@ -11,6 +11,13 @@ in at most two pairs of residue classes, so each candidate costs one
 update per row instead of a recount. The tests compare the count with
 the core tower of ``reference``.
 
+A partition of n known to be odd needs no count of its weights: row j of
+its tower weighs w_j <= 1 and n = sum of 2^j w_j, so w_j is bit j of n.
+:func:`_known_odd_slides`, the entry the enumeration and the level tables
+of ``maps`` use, seeds each row's weight from n's binary digits, counts
+beads only for the rows from k up, and shares the candidate scan of
+:func:`_odd_slides`.
+
 The enumeration is constructive. With 2^t the top binary digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an
 odd partition of n - 2^t, and adding a 2^t-hook slides one bead b up to a
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .partition import Partition, beta_set, is_hook_partition, nu2, partition_from_beta
+from .partition import Partition, _partition_from_slid_beads, beta_set, is_hook_partition, nu2
 from .quotient import e_core
 
 __all__ = [
@@ -83,51 +90,61 @@ def _is_odd_beta(beta: tuple[int, ...]) -> bool:
     return True
 
 
-def _odd_slides(beta: tuple[int, ...], step: int) -> tuple[bool, list[tuple[int, ...]]]:
-    """Whether ``beta`` passes :func:`_is_odd_beta`, and every beta-set
-    reached from it by sliding one bead b to a free position b + step >= 0
-    whose partition passes it.
+def _residue_counts(beta: tuple[int, ...], top: int, bottom: int) -> list[list[int]]:
+    """Bead counts of ``beta`` in each residue class mod 2^(j+1), one list
+    per row j = bottom .. top-1, coarsest first; empty when top <= bottom.
 
-    A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in place,
-    so a slide up may leave the tuple out of order. The residue counts are
-    taken once, for every row either size needs. A pair of classes holding
-    a and c beads weighs T(a - c) with T(d) = d(d-1)/2, the formula of
-    :func:`_is_odd_beta` rewritten. A slide by 2^k changes no residue
-    mod 2^(j+1) for j < k, so those rows keep their weight. At a row j >= k
-    the bead leaves a class x and enters a class y, and only their pairs
-    change weight: leaving x adds cnt[x ^ 2^j] - cnt[x] + [x even], entering
-    y adds cnt[y] - cnt[y ^ 2^j] + [y odd], and at j = k, where x and y
-    share one pair, the second step sees the first and adds 1 more. So a
-    candidate costs O(1) per row from k up.
+    Beads are counted once mod 2^top, at the finest row; the classes of row
+    j mod 2^(j+1) then merge pairs of the classes of row j + 1.
     """
-    s = len(beta)
-    n = sum(beta) - s * (s - 1) // 2
-    target = n + step
-    rows = max(n, target).bit_length()
-    # The finest row first: the classes of row j mod 2^(j+1) merge pairs of
-    # the classes of row j + 1.
-    mask = (1 << rows) - 1
+    if top <= bottom:
+        return []
+    mask = (1 << top) - 1
     cnt = [0] * (mask + 1)
     for b in beta:
         cnt[b & mask] += 1
-    counts = []
-    weights = []
-    for _ in range(rows):
+    counts = [cnt]
+    for _ in range(top - 1 - bottom):
         half = len(cnt) // 2
-        low, high = cnt[:half], cnt[half:]
-        diffs = list(map(sub, low, high))
+        cnt = list(map(add, cnt[:half], cnt[half:]))
         counts.append(cnt)
-        weights.append((sum(map(mul, diffs, diffs)) - sum(diffs)) // 2)
-        cnt = list(map(add, low, high))
     counts.reverse()
-    weights.reverse()
-    odd = all(w <= 1 for w in weights[: n.bit_length()])
-    k = abs(step).bit_length() - 1
-    checked = max(target, 0).bit_length()
-    if any(w > 1 for w in weights[: min(k, checked)]):
-        return odd, []
+    return counts
+
+
+def _row_weights(counts: list[list[int]]) -> list[int]:
+    """The weight of each tower row j = 0, 1, ... from its residue counts
+    mod 2^(j+1): a pair of classes r and r + 2^j holding a and c beads
+    weighs T(a - c) with T(d) = d(d-1)/2, the formula of
+    :func:`_is_odd_beta` rewritten."""
+    weights = []
+    for j, cnt in enumerate(counts):
+        diffs = list(map(sub, cnt[: 1 << j], cnt[1 << j :]))
+        weights.append((sum(map(mul, diffs, diffs)) - sum(diffs)) // 2)
+    return weights
+
+
+def _scan_slides(
+    beta: tuple[int, ...], step: int, k: int, counts: list[list[int]], weights: list[int]
+) -> list[tuple[int, ...]]:
+    """Every beta-set reached from ``beta`` by sliding one bead b to a free
+    position b + step >= 0 that leaves rows k, k+1, ... of weight at most 1,
+    given each such row's residue counts and weight before the slide.
+
+    The rows below k, which a slide by 2^k leaves as they are, are the
+    caller's to judge; ``counts`` and ``weights`` start at row k. At a row
+    j >= k the bead leaves a class x and enters a class y, and only their
+    pairs change weight (see :func:`_row_weights`): leaving x adds
+    cnt[x ^ 2^j] - cnt[x] + [x even], entering y adds
+    cnt[y] - cnt[y ^ 2^j] + [y odd], and at j = k, where x and y share one
+    pair, the second step sees the first and adds 1 more. So a candidate
+    costs O(1) per row.
+    """
     # Row k's starting weight carries the extra 1 of a slide within one pair.
-    checks = [(counts[j], 1 << j, (2 << j) - 1, weights[j] + (j == k)) for j in range(k, checked)]
+    checks = [
+        (cnt, 1 << j, (2 << j) - 1, weight + (j == k))
+        for j, (cnt, weight) in enumerate(zip(counts, weights), k)
+    ]
     occupied = set(beta)
     slides = []
     for i, b in enumerate(beta):
@@ -142,7 +159,49 @@ def _odd_slides(beta: tuple[int, ...], step: int) -> tuple[bool, list[tuple[int,
                 break
         else:
             slides.append(beta[:i] + (c,) + beta[i + 1 :])
-    return odd, slides
+    return slides
+
+
+def _odd_slides(beta: tuple[int, ...], step: int) -> tuple[bool, list[tuple[int, ...]]]:
+    """Whether ``beta`` passes :func:`_is_odd_beta`, and every beta-set
+    reached from it by sliding one bead b to a free position b + step >= 0
+    whose partition passes it.
+
+    A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in place,
+    so a slide up may leave the tuple out of order. The residue counts are
+    taken once, for every row either size needs, and every row's weight is
+    read from them. A slide by 2^k changes no residue mod 2^(j+1) for j < k,
+    so those rows keep their weight; :func:`_scan_slides` updates the rows
+    from k up per candidate. :func:`_known_odd_slides` answers the same
+    question for a beta-set already known to be odd, without this count.
+    """
+    s = len(beta)
+    n = sum(beta) - s * (s - 1) // 2
+    target = n + step
+    counts = _residue_counts(beta, max(n, target).bit_length(), 0)
+    weights = _row_weights(counts)
+    odd = all(w <= 1 for w in weights[: n.bit_length()])
+    k = abs(step).bit_length() - 1
+    checked = max(target, 0).bit_length()
+    if any(w > 1 for w in weights[: min(k, checked)]):
+        return odd, []
+    return odd, _scan_slides(beta, step, k, counts[k:checked], weights[k:checked])
+
+
+def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[int, ...]]:
+    """The slides of :func:`_odd_slides` for a beta-set of a partition of n
+    already known to be odd, without deciding that again.
+
+    Row j of the 2-core tower weighs w_j with n = sum of 2^j w_j; every w_j
+    of an odd partition is at most 1, so w_j is bit j of n. Only the rows
+    from k up to the top row of n + step are counted, the beads taken once
+    modulo the finest of them, and no weight is computed. The caller vouches
+    for oddness: an even beta-set gives meaningless slides.
+    """
+    k = abs(step).bit_length() - 1
+    checked = max(n + step, 0).bit_length()
+    weights = [(n >> j) & 1 for j in range(k, checked)]
+    return _scan_slides(beta, step, k, _residue_counts(beta, checked, k), weights)
 
 
 def is_odd(lam: Partition) -> bool:
@@ -171,12 +230,12 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
     step = 1 << t
     found = []
     for mu in odd_partitions(n - step):
-        _, slides = _odd_slides(beta_set(mu, len(mu) + step), step)
+        slides = _known_odd_slides(beta_set(mu, len(mu) + step), n - step, step)
         if len(slides) != step:
             raise RuntimeError(
                 f"{mu} has {len(slides)} odd 2^{t}-hook additions, expected {step}"
             )
-        found.extend(partition_from_beta(beta) for beta in slides)
+        found.extend(map(_partition_from_slid_beads, slides))
     return tuple(sorted(found, reverse=True))
 
 

@@ -11,7 +11,8 @@ tableaux of the skew shape, so the map being certified must send an odd
 partition to the unique odd-degree partition reached with odd skew-tableau
 parity. ``cross_validate`` sweeps that statement, and the plain oddness
 criterion, over everything up to a size bound and reports mismatches as
-data rather than raising. Each odd partition of n takes one walk down the
+data rather than raising; an exception from the map under test is that
+check's mismatch. Each odd partition of n takes one walk down the
 one-box lattice, 2^K steps for the largest 2^K < n, and every k is checked
 against the frontier that walk passes at depth 2^k. Degree parities are
 read from plain part tuples.
@@ -162,7 +163,10 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
                 expected_mu: Any = _odd_constituent(lam, k, frontier)
             except RuntimeError as exc:
                 expected_mu = f"oracle failure: {exc}"
-            got_mu = remove_odd_hook(lam, k)
+            try:
+                got_mu: Any = remove_odd_hook(lam, k)
+            except Exception as exc:
+                got_mu = f"error: {exc}"
             checks += 1
             if expected_mu != got_mu:
                 mismatches.append(Mismatch(lam=lam, k=k, expected=expected_mu, got=got_mu))

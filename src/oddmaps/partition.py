@@ -11,6 +11,7 @@ bead down by L. Character degrees are never materialized: only their
 from __future__ import annotations
 
 from functools import cached_property, total_ordering
+from operator import sub
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -118,6 +119,23 @@ def partition_from_beta(beta: Iterable[int]) -> Partition:
     s = len(beta)
     parts = [b - (s - 1 - i) for i, b in enumerate(beta)]
     return Partition([p for p in parts if p > 0])
+
+
+def _partition_from_slid_beads(beads: Iterable[int]) -> Partition:
+    """The partition of ``beads``, which are distinct and non-negative by
+    construction, such as a beta-set with one bead slid to a free position.
+
+    The trusted counterpart of :func:`partition_from_beta`: it sorts the
+    beads and builds the :class:`Partition` without re-checking them or the
+    parts, which are then weakly decreasing and positive.
+    """
+    beta = sorted(beads, reverse=True)
+    s = len(beta)
+    parts = tuple(p for p in map(sub, beta, range(s - 1, -1, -1)) if p > 0)
+    lam = Partition.__new__(Partition)
+    lam.parts = parts
+    lam.size = sum(parts)
+    return lam
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:

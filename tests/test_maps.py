@@ -19,7 +19,7 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
-from oddmaps.maps import CommuteVerdict
+from oddmaps.maps import CommuteVerdict, _fiber_map
 from oddmaps.quotient import from_core_quotient
 
 P = Partition
@@ -80,6 +80,15 @@ def test_exactly_one_odd_removal():
             while (1 << k) < n:
                 assert len(odd_hook_removals(lam, k)) == 1
                 k += 1
+
+
+def test_level_table_matches_the_map_at_a_large_level():
+    # The table reads known-odd slides; the map decides oddness itself.
+    level = odd_partitions(40)
+    for k in range((40).bit_length()):
+        images, _ = _fiber_map(40, k)
+        assert list(images) == list(level)
+        assert images == {lam: remove_odd_hook(lam, k) for lam in level}, k
 
 
 def test_fiber_examples():

@@ -13,7 +13,14 @@ from oddmaps import (
     odd_partitions_by_filter,
     partitions_of,
 )
-from oddmaps.oddity import _is_odd_beta, _odd_slides, d_good
+from oddmaps.oddity import (
+    _is_odd_beta,
+    _known_odd_slides,
+    _odd_slides,
+    _residue_counts,
+    _row_weights,
+    d_good,
+)
 from oddmaps.partition import beta_set, is_hook_partition
 from oddmaps.quotient import e_core, e_quotient, k_data
 from oddmaps.reference import (
@@ -56,6 +63,39 @@ def test_odd_slides_match_a_full_recount():
                     for step in (1 << k, -(1 << k)):
                         expected = (odd, slides_by_recount(beta, step))
                         assert _odd_slides(beta, step) == expected, (lam, padding, step)
+
+
+def test_odd_row_weights_are_the_binary_digits_of_n():
+    # The fact the known-odd entry relies on, one row past n's top digit too.
+    for n in range(31):
+        digits = [(n >> j) & 1 for j in range(n.bit_length() + 1)]
+        for lam in odd_partitions(n):
+            for padding in range(4):
+                beta = beta_set(lam, len(lam) + padding)
+                counts = _residue_counts(beta, n.bit_length() + 1, 0)
+                assert _row_weights(counts) == digits, (lam, padding)
+
+
+def test_known_odd_removals_match_the_full_count():
+    for n in range(1, 23):
+        for lam in odd_partitions(n):
+            for padding in range(4):
+                beta = beta_set(lam, len(lam) + padding)
+                for k in range(n.bit_length()):
+                    step = -(1 << k)
+                    expected = _odd_slides(beta, step)[1]
+                    assert _known_odd_slides(beta, n, step) == expected, (lam, padding, k)
+
+
+def test_known_odd_additions_match_the_full_count():
+    # The +2^t slides odd_partitions(n) takes from each odd mu of n - 2^t.
+    for n in range(1, 33):
+        step = 1 << (n.bit_length() - 1)
+        for mu in odd_partitions(n - step):
+            beta = beta_set(mu, len(mu) + step)
+            slides = _known_odd_slides(beta, n - step, step)
+            assert slides == _odd_slides(beta, step)[1], mu
+            assert len(slides) == step, mu
 
 
 def test_is_odd_via_row_examples():

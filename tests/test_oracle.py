@@ -5,7 +5,8 @@ import pytest
 
 from helpers import recording_executor
 from oddmaps import Partition, cross_validate, partitions_of, remove_odd_hook
-from oddmaps.oracle import _frontiers, skew_syt_parity, unique_odd_constituent
+from oddmaps.cli import main
+from oddmaps.oracle import Mismatch, _frontiers, skew_syt_parity, unique_odd_constituent
 from oddmaps.partition import nu2_degree
 
 P = Partition
@@ -161,3 +162,21 @@ def test_cross_validate_bounds_workers(monkeypatch):
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             cross_validate(5, jobs=jobs)
+
+
+def test_a_raising_map_is_that_checks_mismatch(capsys, monkeypatch):
+    clean = cross_validate(5)
+
+    def broken(lam, k):
+        if lam == P((3,)) and k == 1:
+            raise RuntimeError("injected failure")
+        return remove_odd_hook(lam, k)
+
+    monkeypatch.setattr("oddmaps.maps.remove_odd_hook", broken)
+    report = cross_validate(5)
+    assert report.checks_run == clean.checks_run
+    assert report.mismatches == (
+        Mismatch(lam=P((3,)), k=1, expected=P((1,)), got="error: injected failure"),
+    )
+    assert main(["verify", "--max-n", "5"]) == 1
+    assert "[3] k=1: expected [1], got error: injected failure" in capsys.readouterr().out

@@ -1,12 +1,14 @@
 import math
+import pickle
 import random
 from collections import Counter
 
 import pytest
 
-from oddmaps import Partition, nu2_degree, partitions_of
+from oddmaps import Partition, nu2_degree, odd_partitions, partitions_of
 from oddmaps.partition import (
     _nu2_degree_parts,
+    _partition_from_slid_beads,
     beta_set,
     hook_lengths,
     is_hook_partition,
@@ -101,6 +103,31 @@ def test_beta_set_roundtrip():
     assert partition_from_beta(beta_set(lam, 9)) == lam
     with pytest.raises(ValueError):
         partition_from_beta((3, 3))
+
+
+def test_trusted_build_matches_the_checked_constructor():
+    for n in range(21):
+        trusted, checked = [], []
+        for lam in odd_partitions(n):
+            for padding in range(3):
+                # Slid beads arrive out of order; the trusted build sorts them.
+                beads = beta_set(lam, len(lam) + padding)[::-1]
+                got, want = _partition_from_slid_beads(beads), Partition(lam.parts)
+                assert type(got) is Partition and vars(got) == vars(want), beads
+                assert got == want and hash(got) == hash(want)
+                assert repr(got) == repr(want) and str(got) == str(want)
+                assert got.conjugate == want.conjugate
+                assert repr(got.conjugate) == repr(want.conjugate)
+                # verify --jobs pickles partitions across processes.
+                for p in (got, _partition_from_slid_beads(beads)):
+                    back = pickle.loads(pickle.dumps(p))
+                    assert back == want and vars(back) == vars(p)
+            trusted.append(got)
+            checked.append(want)
+        assert [(a < b, a <= b, a > b) for a in trusted for b in trusted] == [
+            (a < b, a <= b, a > b) for a in checked for b in checked
+        ]
+        assert sorted(trusted) == sorted(checked)
 
 
 def test_nu2_degree_examples():

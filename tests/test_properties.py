@@ -1,7 +1,7 @@
 """Property tests across representations: partitions and beta-sets, the
 abacus oddness count against the core tower and the degree valuation, the
-bead-slide map against hook enumeration, and the per-slide weight updates
-against a full recount."""
+bead-slide map against hook enumeration, the per-slide weight updates
+against a full recount, and the known-odd slides against the full count."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +15,7 @@ from oddmaps import (
     odd_partitions,
     remove_odd_hook,
 )
-from oddmaps.oddity import _odd_slides
+from oddmaps.oddity import _known_odd_slides, _odd_slides
 from oddmaps.partition import beta_set, partition_from_beta
 from oddmaps.reference import core_tower
 
@@ -68,3 +68,12 @@ def test_odd_slides_match_a_full_recount(lam, padding, k, up):
     beta = beta_set(lam, len(lam) + padding)
     step = 1 << k if up else -(1 << k)
     assert _odd_slides(beta, step) == (True, slides_by_recount(beta, step))
+
+
+@reproducible
+@given(odd_members(40, 63), st.integers(0, 3), st.data())
+def test_known_odd_slides_match_the_full_count(lam, padding, data):
+    k = data.draw(st.integers(0, lam.size.bit_length() - 1))
+    beta = beta_set(lam, len(lam) + padding)
+    step = -(1 << k)
+    assert _known_odd_slides(beta, lam.size, step) == _odd_slides(beta, step)[1]
