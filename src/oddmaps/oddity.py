@@ -15,8 +15,8 @@ A partition of n known to be odd needs no count of its weights: row j of
 its tower weighs w_j <= 1 and n = sum of 2^j w_j, so w_j is bit j of n.
 :func:`_known_odd_slides`, the entry the enumeration and the level tables
 of ``maps`` use, seeds each row's weight from n's binary digits, counts
-beads only for the rows from k up, and shares the candidate scan of
-:func:`_odd_slides`.
+beads only for the rows from k up to the one below the target's top row,
+and shares the candidate scan of :func:`_odd_slides`.
 
 The enumeration is constructive. With 2^t the top binary digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an
@@ -139,6 +139,10 @@ def _scan_slides(
     cnt[y] - cnt[y ^ 2^j] + [y odd], and at j = k, where x and y share one
     pair, the second step sees the first and adds 1 more. So a candidate
     costs O(1) per row.
+
+    The target's top row, j = bit_length(n') - 1 for the target size n',
+    never needs a check: n' = sum of 2^j w_j bounds w_j by n' / 2^j < 2
+    there. Callers pass the rows from k up to the one below it.
     """
     # Row k's starting weight carries the extra 1 of a slide within one pair.
     checks = [
@@ -185,7 +189,9 @@ def _odd_slides(beta: tuple[int, ...], step: int) -> tuple[bool, list[tuple[int,
     checked = max(target, 0).bit_length()
     if any(w > 1 for w in weights[: min(k, checked)]):
         return odd, []
-    return odd, _scan_slides(beta, step, k, counts[k:checked], weights[k:checked])
+    # Rows k .. checked - 2: the target's top row, checked - 1, weighs at most 1.
+    top = max(checked - 1, k)
+    return odd, _scan_slides(beta, step, k, counts[k:top], weights[k:top])
 
 
 def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[int, ...]]:
@@ -194,14 +200,15 @@ def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[in
 
     Row j of the 2-core tower weighs w_j with n = sum of 2^j w_j; every w_j
     of an odd partition is at most 1, so w_j is bit j of n. Only the rows
-    from k up to the top row of n + step are counted, the beads taken once
-    modulo the finest of them, and no weight is computed. The caller vouches
-    for oddness: an even beta-set gives meaningless slides.
+    from k up to the one below the top row of n + step are counted (none
+    for the enumeration's +2^t step), the beads taken once modulo the
+    finest of them, and no weight is computed. The caller vouches for
+    oddness: an even beta-set gives meaningless slides.
     """
     k = abs(step).bit_length() - 1
-    checked = max(n + step, 0).bit_length()
-    weights = [(n >> j) & 1 for j in range(k, checked)]
-    return _scan_slides(beta, step, k, _residue_counts(beta, checked, k), weights)
+    top = max(n + step, 0).bit_length() - 1
+    weights = [(n >> j) & 1 for j in range(k, top)]
+    return _scan_slides(beta, step, k, _residue_counts(beta, top, k), weights)
 
 
 def is_odd(lam: Partition) -> bool:

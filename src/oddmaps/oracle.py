@@ -4,7 +4,9 @@ Everything here is computed from degree parities and skew standard
 tableau counts alone. The quotient machinery is deliberately never
 imported: a convention bug there cannot cancel against itself when the
 same answer is recomputed from branching parities. Only the raw partition
-primitives are shared.
+primitives are shared: the Partition type, the enumeration of all
+partitions and the trusted constructor. The bead masks below are this
+module's own code, shared with nothing in ``oddity``.
 
 Multiplicities in an iterated one-box restriction are counted by standard
 tableaux of the skew shape, so the map being certified must send an odd
@@ -14,8 +16,14 @@ criterion, over everything up to a size bound and reports mismatches as
 data rather than raising; an exception from the map under test is that
 check's mismatch. Each odd partition of n takes one walk down the
 one-box lattice, 2^K steps for the largest 2^K < n, and every k is checked
-against the frontier that walk passes at depth 2^k. Degree parities are
-read from plain part tuples.
+against the frontier that walk passes at depth 2^k.
+
+Shapes are bead masks: an int whose set bits are the beta numbers of the
+shape, with as many beads as lam has parts for the whole walk. A one-box
+removal moves one bead b to a free b - 1, a bit move, and the degree
+valuation is read off the mask with popcounts (see
+:func:`_nu2_degree_mask`). Only the one odd-degree survivor at each 2^k is
+decoded back to parts.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterator
 
-from .partition import Partition, _nu2_degree_parts, nu2_degree, partitions_of
+from .partition import Partition, _trusted_partition, partitions_of
 
 __all__ = [
     "Mismatch",
@@ -57,25 +66,85 @@ class ParityReport:
         return not self.mismatches
 
 
-def _one_box_removals(nu: tuple[int, ...]):
-    for i in range(len(nu)):
-        if i + 1 < len(nu) and nu[i] == nu[i + 1]:
-            continue
-        if nu[i] == 1:
-            yield nu[:i]
-        else:
-            yield nu[:i] + (nu[i] - 1,) + nu[i + 1 :]
+def _mask_of(parts: tuple[int, ...], m: int) -> int:
+    """The bead mask of ``parts`` padded to ``m >= len(parts)`` beads: bit b
+    is set for each beta number b = parts[i] + m - 1 - i, i < m, a missing
+    part counting as 0."""
+    x = (1 << (m - len(parts))) - 1
+    for i, p in enumerate(parts):
+        x |= 1 << (p + m - 1 - i)
+    return x
 
 
-def _toggle_step(frontier: set) -> set:
-    """One level of the parity walk down: XOR-accumulate the neighbours."""
-    nxt: set = set()
-    for nu in frontier:
-        for out in _one_box_removals(nu):
-            if out in nxt:
-                nxt.remove(out)
+def _parts_of(x: int) -> tuple[int, ...]:
+    """The part tuple of the bead mask ``x``, for any padding."""
+    parts = []
+    i = 0
+    while x:
+        low = x & -x
+        if low >> i > 1:
+            parts.append(low.bit_length() - 1 - i)
+        x ^= low
+        i += 1
+    parts.reverse()
+    return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def _width_tables(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """For masks of bit length ``width``: each even gap d < width with
+    nu2(d), and for each bit j of a position below width the selector S_j
+    of the positions with that bit set."""
+    gaps = tuple((d, (d & -d).bit_length() - 1) for d in range(2, width, 2))
+    selectors = tuple(
+        sum(1 << b for b in range(width) if b >> j & 1)
+        for j in range(max(width - 1, 0).bit_length())
+    )
+    return gaps, selectors
+
+
+def _nu2_degree_mask(x: int, n: int) -> int:
+    """2-adic valuation of the degree of the partition of ``n`` whose bead
+    mask is ``x``, by Frobenius's formula; 0 for the empty partition.
+
+    With m beads b_i, the valuation is
+    nu2(n!) - sum of nu2(b_i!) + sum over i < j of nu2(b_i - b_j).
+    The pairs at gap d are the set bits of x & (x >> d), and only even gaps
+    count, so the last sum is sum over even d of nu2(d) popcount(x & (x >> d)).
+    With nu2(b!) = b - popcount(b), the middle sum is
+    sum of b_i - sum over j of popcount(x & S_j), where sum of b_i is
+    n + m(m - 1)/2.
+    """
+    gaps, selectors = _width_tables(x.bit_length())
+    m = x.bit_count()
+    # nu2(n!) - sum of b_i, the n of each cancelled.
+    total = -n.bit_count() - m * (m - 1) // 2
+    for s in selectors:
+        total += (x & s).bit_count()
+    for d, v in gaps:
+        total += v * (x & (x >> d)).bit_count()
+    return total
+
+
+def _toggle_step(frontier: set[int]) -> set[int]:
+    """One level of the parity walk down, on bead masks: XOR-accumulate the
+    neighbours.
+
+    Removing a box moves one bead b to a free b - 1, so the movable beads of
+    x are the set bits of x & ~(x << 1) & ~1, and moving the bead at bit
+    ``low`` gives x ^ low ^ (low >> 1).
+    """
+    nxt: set[int] = set()
+    for x in frontier:
+        movable = x & ~(x << 1) & ~1
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            y = x ^ low ^ (low >> 1)
+            if y in nxt:
+                nxt.remove(y)
             else:
-                nxt.add(out)
+                nxt.add(y)
     return nxt
 
 
@@ -84,21 +153,23 @@ def skew_syt_parity(lam: Partition, mu: Partition) -> int:
 
     Level-by-level walk down the one-box lattice from lam to mu, the walk
     :func:`unique_odd_constituent` takes, carrying only the set of shapes
-    reached by an odd number of paths.
+    reached by an odd number of paths. Both shapes are bead masks with
+    len(lam) beads.
     """
     if not lam.contains(mu):
         raise ValueError("not a subdiagram")
-    frontier = {lam.parts}
+    m = len(lam)
+    frontier = {_mask_of(lam.parts, m)}
     for _ in range(lam.size - mu.size):
         frontier = _toggle_step(frontier)
-    return 1 if mu.parts in frontier else 0
+    return 1 if _mask_of(mu.parts, m) in frontier else 0
 
 
-def _frontiers(parts: tuple[int, ...], k_max: int) -> Iterator[set]:
-    """The shapes reached from ``parts`` by an odd number of one-box removal
-    paths at depths 1, 2, 4, ..., 2^k_max, read off one walk as it passes
-    each depth."""
-    frontier = {parts}
+def _frontiers(parts: tuple[int, ...], k_max: int) -> Iterator[set[int]]:
+    """The bead masks, with len(parts) beads, of the shapes reached from
+    ``parts`` by an odd number of one-box removal paths at depths
+    1, 2, 4, ..., 2^k_max, read off one walk as it passes each depth."""
+    frontier = {_mask_of(parts, len(parts))}
     depth = 0
     for k in range(k_max + 1):
         while depth < 1 << k:
@@ -107,14 +178,15 @@ def _frontiers(parts: tuple[int, ...], k_max: int) -> Iterator[set]:
         yield frontier
 
 
-def _odd_constituent(lam: Partition, k: int, frontier: set) -> Partition:
+def _odd_constituent(lam: Partition, k: int, frontier: set[int]) -> Partition:
     """The one odd-degree shape in ``lam``'s depth-2^k frontier."""
-    candidates = [nu for nu in frontier if _nu2_degree_parts(nu) == 0]
+    size = lam.size - (1 << k)
+    candidates = [x for x in frontier if _nu2_degree_mask(x, size) == 0]
     if len(candidates) != 1:
         raise RuntimeError(
             f"{lam} at k={k}: {len(candidates)} odd constituents with odd parity"
         )
-    return Partition(candidates[0])
+    return _trusted_partition(_parts_of(candidates[0]))
 
 
 def unique_odd_constituent(lam: Partition, k: int) -> Partition:
@@ -132,7 +204,7 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
     # |lam| = 0; compared by bit length so no 2^k is built.
     if k >= max(lam.size - 1, 0).bit_length():
         raise ValueError("need 2^k < |lam|")
-    if nu2_degree(lam) != 0:
+    if _nu2_degree_mask(_mask_of(lam.parts, len(lam)), lam.size) != 0:
         raise ValueError("defined for odd-degree partitions")
     *_, frontier = _frontiers(lam.parts, k)
     return _odd_constituent(lam, k, frontier)
@@ -147,7 +219,7 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     mismatches: list[Mismatch] = []
     odd_by_degree = []
     for lam in partitions_of(n):
-        expected = _nu2_degree_parts(lam.parts) == 0
+        expected = _nu2_degree_mask(_mask_of(lam.parts, len(lam)), n) == 0
         got = is_odd(lam)
         checks += 1
         if expected != got:

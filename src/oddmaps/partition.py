@@ -11,7 +11,7 @@ bead down by L. Character degrees are never materialized: only their
 from __future__ import annotations
 
 from functools import cached_property, total_ordering
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -103,10 +103,8 @@ def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
         size = len(lam)
     if size < len(lam):
         raise ValueError("beta-set size must be at least the number of parts")
-    parts = lam.parts
-    return tuple(
-        (parts[i] if i < len(parts) else 0) + size - 1 - i for i in range(size)
-    )
+    beads = tuple(map(add, lam.parts, range(size - 1, -1, -1)))
+    return beads + tuple(range(size - 1 - len(beads), -1, -1))
 
 
 def partition_from_beta(beta: Iterable[int]) -> Partition:
@@ -121,6 +119,15 @@ def partition_from_beta(beta: Iterable[int]) -> Partition:
     return Partition([p for p in parts if p > 0])
 
 
+def _trusted_partition(parts: tuple[int, ...]) -> Partition:
+    """The :class:`Partition` of ``parts``, a tuple of ints the library
+    built weakly decreasing and positive, without re-checking it."""
+    lam = Partition.__new__(Partition)
+    lam.parts = parts
+    lam.size = sum(parts)
+    return lam
+
+
 def _partition_from_slid_beads(beads: Iterable[int]) -> Partition:
     """The partition of ``beads``, which are distinct and non-negative by
     construction, such as a beta-set with one bead slid to a free position.
@@ -131,11 +138,7 @@ def _partition_from_slid_beads(beads: Iterable[int]) -> Partition:
     """
     beta = sorted(beads, reverse=True)
     s = len(beta)
-    parts = tuple(p for p in map(sub, beta, range(s - 1, -1, -1)) if p > 0)
-    lam = Partition.__new__(Partition)
-    lam.parts = parts
-    lam.size = sum(parts)
-    return lam
+    return _trusted_partition(tuple(p for p in map(sub, beta, range(s - 1, -1, -1)) if p > 0))
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:
@@ -152,7 +155,8 @@ def _nu2_degree_parts(parts: tuple[int, ...]) -> int:
     ``parts``, from Frobenius's formula on its beta numbers; 0 for ().
 
     The beta numbers b_i are computed here, not by :func:`beta_set`, so the
-    oracle that relies on this helper shares no code with that primitive.
+    tests that check the abacus against this valuation share no code with
+    that primitive.
     """
     m = len(parts)
     betas = [p + m - 1 - i for i, p in enumerate(parts)]
@@ -189,10 +193,10 @@ def partitions_of(n: int) -> Iterator[Partition]:
     if n < 0:
         raise ValueError("partitions are defined for non-negative integers")
     if n == 0:
-        yield Partition(())
+        yield _trusted_partition(())
         return
     r = (n,)
-    yield Partition(r)
+    yield _trusted_partition(r)
     while True:
         i = len(r) - 1
         while i >= 0 and r[i] == 1:
@@ -205,4 +209,4 @@ def partitions_of(n: int) -> Iterator[Partition]:
             nxt = min(r[-1], freed)
             r += (nxt,)
             freed -= nxt
-        yield Partition(r)
+        yield _trusted_partition(r)

@@ -53,7 +53,9 @@ def test_is_odd_matches_core_tower():
 
 
 def test_odd_slides_match_a_full_recount():
-    # Odd and even bases alike, padded or not, sliding up and down.
+    # Odd and even bases alike, padded or not, sliding up and down. Both
+    # entries leave the target's top tower row unchecked; every slide they
+    # return, in order, is still one a full recount calls odd.
     for n in range(19):
         for lam in partitions_of(n):
             for padding in range(4):
@@ -61,8 +63,10 @@ def test_odd_slides_match_a_full_recount():
                 odd = _is_odd_beta(beta)
                 for k in range(6):
                     for step in (1 << k, -(1 << k)):
-                        expected = (odd, slides_by_recount(beta, step))
-                        assert _odd_slides(beta, step) == expected, (lam, padding, step)
+                        expected = slides_by_recount(beta, step)
+                        assert _odd_slides(beta, step) == (odd, expected), (lam, padding, step)
+                        if odd:
+                            assert _known_odd_slides(beta, n, step) == expected, (lam, padding, step)
 
 
 def test_odd_row_weights_are_the_binary_digits_of_n():

@@ -4,10 +4,18 @@ from functools import lru_cache
 import pytest
 
 from helpers import recording_executor
-from oddmaps import Partition, cross_validate, partitions_of, remove_odd_hook
+from oddmaps import Partition, cross_validate, odd_partitions, partitions_of, remove_odd_hook
 from oddmaps.cli import main
-from oddmaps.oracle import Mismatch, _frontiers, skew_syt_parity, unique_odd_constituent
-from oddmaps.partition import nu2_degree
+from oddmaps.oracle import (
+    Mismatch,
+    _frontiers,
+    _mask_of,
+    _nu2_degree_mask,
+    _parts_of,
+    skew_syt_parity,
+    unique_odd_constituent,
+)
+from oddmaps.partition import beta_set, nu2_degree
 
 P = Partition
 
@@ -41,10 +49,36 @@ def subdiagrams(lam: tuple[int, ...]):
             yield ((first,) + rest) if first else rest
 
 
+def test_bead_masks_round_trip():
+    # Bit b of the mask is set for each beta number b, at every padding.
+    for n in range(21):
+        for lam in partitions_of(n):
+            for padding in range(4):
+                m = len(lam) + padding
+                x = _mask_of(lam.parts, m)
+                assert x == sum(1 << b for b in beta_set(lam, m)), (lam, padding)
+                assert x.bit_count() == m
+                assert _parts_of(x) == lam.parts, (lam, padding)
+
+
+def test_mask_degree_valuation_matches_nu2_degree():
+    for n in range(1, 26):
+        for lam in partitions_of(n):
+            assert _nu2_degree_mask(_mask_of(lam.parts, len(lam)), n) == nu2_degree(lam), lam
+    for lam in odd_partitions(40):
+        for padding in range(3):
+            x = _mask_of(lam.parts, len(lam) + padding)
+            assert _nu2_degree_mask(x, 40) == nu2_degree(lam) == 0, (lam, padding)
+    assert _nu2_degree_mask(0, 0) == _nu2_degree_mask(0b111, 0) == 0
+
+
 def test_skew_parity_examples():
     assert skew_syt_parity(P((3, 1)), P((3,))) == 1
     assert skew_syt_parity(P((3, 1)), P((2,))) == 0
     assert skew_syt_parity(P((2, 1)), P((1,))) == 0
+    # mu with fewer rows than lam: its mask is padded to lam's bead count.
+    assert skew_syt_parity(P((1,)), P(())) == 1
+    assert skew_syt_parity(P((2, 1, 1)), P((1,))) == 1
 
 
 def test_skew_parity_degenerate_shapes():
@@ -114,7 +148,9 @@ def test_one_walk_frontiers_match_skew_parities():
                 continue
             frontiers = list(_frontiers(lam.parts, k_max))
             assert len(frontiers) == k_max + 1
-            for k, frontier in enumerate(frontiers):
+            for k, masks in enumerate(frontiers):
+                frontier = {_parts_of(x) for x in masks}
+                assert len(frontier) == len(masks)
                 brute = {
                     mu.parts
                     for mu in partitions_of(n - (1 << k))
