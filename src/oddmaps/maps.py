@@ -5,9 +5,12 @@ leaves an odd partition; removing it is the restriction map down to
 n - 2^k. Production code computes it with one route on the abacus:
 removing a 2^k-hook slides one bead of the beta-set down by 2^k, and the
 map keeps the one slide whose result passes the abacus oddness count.
-Questions about a whole level read one table per (n, k), built once from
-that route over every odd partition of n: :func:`fiber` looks up the
-preimages of mu, :func:`image_misses` lists the partitions no preimage
+A fiber needs no level: an odd partition of n made from an odd mu by
+adding a 2^k-hook has mu as its only odd 2^k-removal, so :func:`fiber`
+reads mu's odd 2^k-hook additions, the upward slide scan that also
+enumerates the odd partitions. Questions about a whole level read one
+table of images per (n, k), built once from the route over every odd
+partition of n: :func:`image_misses` lists the partitions no image
 reaches, and :func:`commute_verdict` composes four tables. The tables
 enter the route by its known-odd entry: every partition of the level comes
 from the enumeration, so its tower's row weights are the binary digits of
@@ -36,6 +39,7 @@ from functools import lru_cache
 from .oddity import (
     _is_odd_beta,
     _known_odd_slides,
+    _odd_additions,
     _odd_slides,
     d_good,
     dnk,
@@ -145,26 +149,19 @@ def _only_removal(lam: Partition, k: int, slides: list[tuple[int, ...]]) -> Part
 
 
 @lru_cache(maxsize=None)
-def _fiber_map(
-    n: int, k: int
-) -> tuple[dict[Partition, Partition], dict[Partition, tuple[Partition, ...]]]:
+def _images(n: int, k: int) -> dict[Partition, Partition]:
     """f_k on the whole level n: the image of every odd partition of n, in
-    the order of :func:`odd_partitions`, and the preimages of every reached
-    partition, members in descending lex order.
+    the order of :func:`odd_partitions`.
 
     Every partition here comes from :func:`odd_partitions` and so is odd:
     its slides are read by :func:`_known_odd_slides`, which takes the tower's
     row weights from the binary digits of n instead of counting them.
     """
     step = -(1 << k)
-    images = {
+    return {
         lam: _only_removal(lam, k, _known_odd_slides(beta_set(lam), n, step))
         for lam in odd_partitions(n)
     }
-    buckets: dict[Partition, list[Partition]] = {}
-    for lam, mu in images.items():
-        buckets.setdefault(mu, []).append(lam)
-    return images, {mu: tuple(members) for mu, members in buckets.items()}
 
 
 def _check_fiber_args(mu: Partition, n: int, k: int) -> None:
@@ -177,10 +174,15 @@ def _check_fiber_args(mu: Partition, n: int, k: int) -> None:
 
 
 def fiber(mu: Partition, n: int, k: int) -> Fiber:
-    """The set of odd partitions of n mapping to ``mu``, by brute force."""
+    """The odd partitions of n mapping to ``mu``, descending lexicographic.
+
+    They are the odd 2^k-hook additions to ``mu``: each has ``mu`` as its
+    only odd 2^k-removal. Read from one slide scan of ``mu``'s beta-set, so
+    the cost is per instance and no level of n is built.
+    """
     _check_fiber_args(mu, n, k)
-    _, fibers = _fiber_map(n, k)
-    return Fiber(mu=mu, n=n, k=k, members=fibers.get(mu, ()))
+    members = tuple(sorted(_odd_additions(mu, n, k), reverse=True))
+    return Fiber(mu=mu, n=n, k=k, members=members)
 
 
 def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
@@ -200,13 +202,13 @@ def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
 def image_misses(n: int, k: int) -> tuple[Partition, ...]:
     """Odd partitions of n - 2^k with empty fiber, descending lexicographic.
 
-    Read from the level table of :func:`_fiber_map`: the odd partitions of
-    n - 2^k that no odd partition of n maps to.
+    Read from the level table of :func:`_images`: the odd partitions of
+    n - 2^k that are the image of no odd partition of n.
     """
     if n < 1 or k < 0 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")
-    _, fibers = _fiber_map(n, k)
-    return tuple(mu for mu in odd_partitions(n - (1 << k)) if mu not in fibers)
+    reached = set(_images(n, k).values())
+    return tuple(mu for mu in odd_partitions(n - (1 << k)) if mu not in reached)
 
 
 def is_surjective(n: int, k: int, verify: bool = False) -> bool:
@@ -251,15 +253,15 @@ def commute_verdict(inst: CommuteInstance) -> CommuteVerdict:
     """Exhaustive check over all odd partitions of n; the witness, if any,
     is the lexicographically greatest counterexample.
 
-    Both compositions are read from the level tables of :func:`_fiber_map`:
+    Both compositions are read from the level tables of :func:`_images`:
     f_l and f_k on n, then f_k on n - 2^l and f_l on n - 2^k, walked in the
     order of :func:`odd_partitions`.
     """
     n, k, l = inst.n, inst.k, inst.l
-    via_l, _ = _fiber_map(n, l)
-    via_k, _ = _fiber_map(n, k)
-    then_k, _ = _fiber_map(n - (1 << l), k)
-    then_l, _ = _fiber_map(n - (1 << k), l)
+    via_l = _images(n, l)
+    via_k = _images(n, k)
+    then_k = _images(n - (1 << l), k)
+    then_l = _images(n - (1 << k), l)
     for lam, mu in via_l.items():
         if then_k[mu] != then_l[via_k[lam]]:
             return CommuteVerdict(instance=inst, commutes=False, witness=lam)

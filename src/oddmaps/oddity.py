@@ -13,15 +13,18 @@ the core tower of ``reference``.
 
 A partition of n known to be odd needs no count of its weights: row j of
 its tower weighs w_j <= 1 and n = sum of 2^j w_j, so w_j is bit j of n.
-:func:`_known_odd_slides`, the entry the enumeration and the level tables
-of ``maps`` use, seeds each row's weight from n's binary digits, counts
-beads only for the rows from k up to the one below the target's top row,
-and shares the candidate scan of :func:`_odd_slides`.
+:func:`_known_odd_slides`, the entry the enumeration, the fibers and the
+level tables of ``maps`` use, seeds each row's weight from n's binary
+digits, counts beads only for the rows from k up to the one below the
+target's top row, and shares the candidate scan of :func:`_odd_slides`.
 
 The enumeration is constructive. With 2^t the top binary digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an
-odd partition of n - 2^t, and adding a 2^t-hook slides one bead b up to a
-free b + 2^t. A standing test checks it against the filter over all
+odd partition mu of n - 2^t, and adding a 2^t-hook slides one bead b up to
+a free b + 2^t (:func:`_odd_additions`). Each partition built so has mu
+as its only odd 2^t-removal, so mu's additions at k = t are its fiber
+under the removal map f_t; ``maps`` reads fibers at every k from the same
+scan. A standing test checks the enumeration against the filter over all
 partitions in ``reference``.
 """
 
@@ -211,6 +214,21 @@ def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[in
     return _scan_slides(beta, step, k, _residue_counts(beta, top, k), weights)
 
 
+def _odd_additions(mu: Partition, n: int, k: int) -> list[Partition]:
+    """The odd 2^k-hook additions to ``mu``, an odd partition of n - 2^k.
+
+    Adding a 2^k-hook slides one bead b up to a free b + 2^k; a beta-set
+    padded by 2^k beads holds every such slide, including those that
+    lengthen the first column. The caller vouches for the oddness of ``mu``
+    (see :func:`_known_odd_slides`). An odd partition of n built this way
+    has ``mu`` as its only odd 2^k-removal, so the additions are exactly
+    the fiber of ``mu`` under the removal map f_k.
+    """
+    step = 1 << k
+    slides = _known_odd_slides(beta_set(mu, len(mu) + step), n - step, step)
+    return list(map(_partition_from_slid_beads, slides))
+
+
 def is_odd(lam: Partition) -> bool:
     """True iff the character labelled by ``lam`` has odd degree.
 
@@ -237,12 +255,12 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
     step = 1 << t
     found = []
     for mu in odd_partitions(n - step):
-        slides = _known_odd_slides(beta_set(mu, len(mu) + step), n - step, step)
-        if len(slides) != step:
+        additions = _odd_additions(mu, n, t)
+        if len(additions) != step:
             raise RuntimeError(
-                f"{mu} has {len(slides)} odd 2^{t}-hook additions, expected {step}"
+                f"{mu} has {len(additions)} odd 2^{t}-hook additions, expected {step}"
             )
-        found.extend(map(_partition_from_slid_beads, slides))
+        found.extend(additions)
     return tuple(sorted(found, reverse=True))
 
 

@@ -11,7 +11,7 @@ bead down by L. Character degrees are never materialized: only their
 from __future__ import annotations
 
 from functools import cached_property, total_ordering
-from operator import add, sub
+from operator import add, index, sub
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -31,7 +31,8 @@ class Partition:
     """Weakly decreasing positive integer parts; () is the empty partition."""
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        # operator.index rejects a non-integral part instead of truncating it.
+        parts = tuple(map(index, parts))
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
         if parts and parts[-1] <= 0:
@@ -109,7 +110,7 @@ def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
 
 def partition_from_beta(beta: Iterable[int]) -> Partition:
     """Inverse of :func:`beta_set`: recover the partition from beta numbers."""
-    beta = sorted(beta, reverse=True)
+    beta = sorted(map(index, beta), reverse=True)
     if any(b < 0 for b in beta):
         raise ValueError("beta numbers must be non-negative")
     if len(set(beta)) != len(beta):

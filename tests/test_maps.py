@@ -19,7 +19,7 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
-from oddmaps.maps import CommuteVerdict, _fiber_map
+from oddmaps.maps import CommuteVerdict, _images
 from oddmaps.quotient import from_core_quotient
 
 P = Partition
@@ -86,7 +86,7 @@ def test_level_table_matches_the_map_at_a_large_level():
     # The table reads known-odd slides; the map decides oddness itself.
     level = odd_partitions(40)
     for k in range((40).bit_length()):
-        images, _ = _fiber_map(40, k)
+        images = _images(40, k)
         assert list(images) == list(level)
         assert images == {lam: remove_odd_hook(lam, k) for lam in level}, k
 
@@ -106,12 +106,26 @@ def test_fiber_examples():
 
 
 def test_fiber_members_in_enumeration_order():
-    for n in range(2, 17):
+    # Local fibers against the map inverted over the whole level.
+    for n in range(2, 31):
         for k in range(n.bit_length()):
-            images = [(lam, remove_odd_hook(lam, k)) for lam in odd_partitions(n)]
+            expected = {}
+            for lam in odd_partitions(n):
+                expected.setdefault(remove_odd_hook(lam, k), []).append(lam)
             for mu in odd_partitions(n - (1 << k)):
-                expected = tuple(lam for lam, image in images if image == mu)
-                assert fiber(mu, n, k).members == expected, (mu, n, k)
+                assert fiber(mu, n, k).members == tuple(expected.get(mu, ())), (mu, n, k)
+
+
+def test_fibers_at_63_build_no_level_table():
+    _images.cache_clear()
+    rng = random.Random(63)
+    for k in range(6):
+        for mu in rng.sample(odd_partitions(63 - (1 << k)), 8):
+            members = fiber(mu, 63, k).members
+            assert len(members) == fiber_size_formula(mu, 63, k), (mu, k)
+            assert all(remove_odd_hook(lam, k) == mu for lam in members), (mu, k)
+            assert all(a > b for a, b in zip(members, members[1:])), (mu, k)
+    assert _images.cache_info().currsize == 0
 
 
 def test_fiber_size_formula_examples():

@@ -29,6 +29,11 @@ def test_constructor_validates():
         P((2, 0))
     with pytest.raises(ValueError):
         P((1, -1))
+    for parts in ((2.5, 1), [2.7, 1], "21"):
+        with pytest.raises(TypeError):
+            P(parts)
+    with pytest.raises(TypeError):
+        partition_from_beta((2.5, 0))
 
 
 def test_ordering_and_rendering():
