@@ -3,19 +3,20 @@
 An odd partition of n has exactly one hook of length 2^k whose removal
 leaves an odd partition; removing it is the restriction map down to
 n - 2^k. Production code computes it with one route on the abacus:
-removing a 2^k-hook slides one bead of the beta-set down by 2^k, and the
-map keeps the one slide whose result passes the abacus oddness count.
+removing a 2^k-hook slides one bead of the beta-set down by 2^k. The map
+decides oddness once, by the abacus count, and then keeps the one slide
+that stays odd, read by the known-odd slide scan: an odd partition's
+tower row weights are the binary digits of n, so none is counted again.
 A fiber needs no level: an odd partition of n made from an odd mu by
 adding a 2^k-hook has mu as its only odd 2^k-removal, so :func:`fiber`
 reads mu's odd 2^k-hook additions, the upward slide scan that also
 enumerates the odd partitions. Questions about a whole level read one
 table of images per (n, k), built once from the route over every odd
 partition of n: :func:`image_misses` lists the partitions no image
-reaches, and :func:`commute_verdict` composes four tables. The tables
-enter the route by its known-odd entry: every partition of the level comes
-from the enumeration, so its tower's row weights are the binary digits of
-n and are not counted again, and its image is built without re-checking
-the slid beads.
+reaches, and :func:`commute_verdict` composes four tables. Every
+partition of a level comes from the enumeration, so the tables skip the
+oddness count and go straight to the removal, and each image is built
+without re-checking the slid beads.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -40,7 +41,6 @@ from .oddity import (
     _is_odd_beta,
     _known_odd_slides,
     _odd_additions,
-    _odd_slides,
     d_good,
     dnk,
     is_odd,
@@ -123,24 +123,24 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     Accepts 2^k equal to the size of ``lam`` (the result is then empty), so
     that compositions with 2^k + 2^l = n stay inside the domain. Each
     2^k-hook is a slide of a bead b to a free position b - 2^k; exactly one
-    slide may leave an odd partition. One count of the beads decides both
-    whether ``lam`` is odd and which slide that is (:func:`_odd_slides`).
+    slide may leave an odd partition. Oddness is decided once, by the
+    abacus count; the slide is then read by the known-odd scan
+    :func:`_known_odd_slides`, which takes the tower's row weights from the
+    binary digits of the size.
     """
     beta = beta_set(lam)
-    # Oddness is decided first; 2^k is built only once k is in range.
-    if 0 <= k < lam.size.bit_length():
-        odd, slides = _odd_slides(beta, -(1 << k))
-    else:
-        odd, slides = _is_odd_beta(beta), None
-    if not odd:
+    if not _is_odd_beta(beta):
         raise ValueError("the map is defined for odd partitions")
-    if slides is None:
+    # 2^k is built only once k is in range.
+    if not 0 <= k < lam.size.bit_length():
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
-    return _only_removal(lam, k, slides)
+    return _only_removal(lam, k, beta)
 
 
-def _only_removal(lam: Partition, k: int, slides: list[tuple[int, ...]]) -> Partition:
-    """The partition of the one odd 2^k-hook removal in ``slides``."""
+def _only_removal(lam: Partition, k: int, beta: tuple[int, ...]) -> Partition:
+    """The one odd 2^k-hook removal of ``lam``, an odd partition with
+    beta-set ``beta``."""
+    slides = _known_odd_slides(beta, lam.size, -(1 << k))
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
@@ -154,14 +154,10 @@ def _images(n: int, k: int) -> dict[Partition, Partition]:
     the order of :func:`odd_partitions`.
 
     Every partition here comes from :func:`odd_partitions` and so is odd:
-    its slides are read by :func:`_known_odd_slides`, which takes the tower's
-    row weights from the binary digits of n instead of counting them.
+    each goes straight to the removal :func:`remove_odd_hook` makes once it
+    has decided oddness.
     """
-    step = -(1 << k)
-    return {
-        lam: _only_removal(lam, k, _known_odd_slides(beta_set(lam), n, step))
-        for lam in odd_partitions(n)
-    }
+    return {lam: _only_removal(lam, k, beta_set(lam)) for lam in odd_partitions(n)}
 
 
 def _check_fiber_args(mu: Partition, n: int, k: int) -> None:

@@ -4,19 +4,18 @@ A partition labels an odd-degree character exactly when every row of its
 2-core tower has weight at most 1. This module decides that on the
 abacus: the weight of tower row k depends only on how many beads of a
 beta-set fall in each residue class mod 2^(k+1), so no tower is built.
-Hook additions and removals of length 2^k are bead slides by 2^k, and
-:func:`_odd_slides` tests all of them from one count of the beta-set: a
-slide leaves the rows below k as they are and changes each row from k up
-in at most two pairs of residue classes, so each candidate costs one
-update per row instead of a recount. The tests compare the count with
-the core tower of ``reference``.
+The tests compare the count with the core tower of ``reference``.
 
-A partition of n known to be odd needs no count of its weights: row j of
-its tower weighs w_j <= 1 and n = sum of 2^j w_j, so w_j is bit j of n.
-:func:`_known_odd_slides`, the entry the enumeration, the fibers and the
-level tables of ``maps`` use, seeds each row's weight from n's binary
-digits, counts beads only for the rows from k up to the one below the
-target's top row, and shares the candidate scan of :func:`_odd_slides`.
+Once a partition of n is known to be odd, no weight needs counting again:
+row j of its tower weighs w_j <= 1 and n = sum of 2^j w_j, so w_j is bit j
+of n. Hook additions and removals of length 2^k are bead slides by 2^k,
+and :func:`_known_odd_slides`, the one slide scan, tests all of them from
+n's binary digits and one count of the beads: a slide leaves the rows
+below k as they are and changes each row from k up in at most two pairs
+of residue classes, so each candidate costs one update per row instead of
+a recount. The map of ``maps`` decides oddness once and then reads its
+slide from this scan, as do the enumeration, the fibers and the level
+tables.
 
 The enumeration is constructive. With 2^t the top binary digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add
 
 from .partition import Partition, _partition_from_slid_beads, beta_set, is_hook_partition, nu2
 from .quotient import e_core
@@ -67,19 +66,15 @@ def _is_odd_beta(beta: tuple[int, ...]) -> bool:
     a(a-1) + c^2 - (a+c)(a+c-1)/2 cells. Row k's weight is the sum over
     r < 2^k; rows with 2^k above the partition's size n weigh nothing.
 
-    This count does not share the dense one of :func:`_odd_slides` on
-    purpose: it works coarsest row first and stops at the first row that
-    weighs more than 1, which most partitions have early, while the dense
-    count takes every row from the finest before it can judge any. On a
-    2-core Xeon with Python 3.11 this takes 6.9 us a call against the dense
-    count's 18.2 us over every partition of n <= 22, and 26.8 us against
-    23.3 us on odd partitions of n = 40..63, where every row must be read.
-    Each path is the faster one on its own inputs, so they stay two.
+    The top row, 2^k <= n < 2^(k+1), is not counted: the size identity
+    n = sum of 2^j w_j bounds its weight by n / 2^k < 2, so the loop stops
+    below it. The count works coarsest row first and stops at the first
+    row that weighs more than 1, which most partitions have early.
     """
     s = len(beta)
     n = sum(beta) - s * (s - 1) // 2
     half = 1
-    while half <= n:
+    while 2 * half <= n:
         mask = 2 * half - 1
         counts = [0] * (2 * half)
         for b in beta:
@@ -115,42 +110,38 @@ def _residue_counts(beta: tuple[int, ...], top: int, bottom: int) -> list[list[i
     return counts
 
 
-def _row_weights(counts: list[list[int]]) -> list[int]:
-    """The weight of each tower row j = 0, 1, ... from its residue counts
-    mod 2^(j+1): a pair of classes r and r + 2^j holding a and c beads
-    weighs T(a - c) with T(d) = d(d-1)/2, the formula of
-    :func:`_is_odd_beta` rewritten."""
-    weights = []
-    for j, cnt in enumerate(counts):
-        diffs = list(map(sub, cnt[: 1 << j], cnt[1 << j :]))
-        weights.append((sum(map(mul, diffs, diffs)) - sum(diffs)) // 2)
-    return weights
+def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[int, ...]]:
+    """Every beta-set reached from ``beta``, a beta-set of an odd partition
+    of n, by sliding one bead b to a free position b + step >= 0 whose
+    partition is odd.
 
+    A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in
+    place, so a slide up may leave the tuple out of order. Row j of the
+    2-core tower weighs w_j with n = sum of 2^j w_j; every w_j of an odd
+    partition is at most 1, so w_j is bit j of n and no weight is counted.
+    A slide by 2^k changes no residue mod 2^(j+1) for j < k, so those rows
+    keep their weight. The target's top row, j = bit_length(n') - 1 for the
+    target size n' = n + step, never needs a check: the same identity bounds
+    its weight by n' / 2^j < 2. So only the rows from k up to the one below
+    it are counted (none for the enumeration's +2^t step), the beads taken
+    once modulo the finest of them.
 
-def _scan_slides(
-    beta: tuple[int, ...], step: int, k: int, counts: list[list[int]], weights: list[int]
-) -> list[tuple[int, ...]]:
-    """Every beta-set reached from ``beta`` by sliding one bead b to a free
-    position b + step >= 0 that leaves rows k, k+1, ... of weight at most 1,
-    given each such row's residue counts and weight before the slide.
-
-    The rows below k, which a slide by 2^k leaves as they are, are the
-    caller's to judge; ``counts`` and ``weights`` start at row k. At a row
-    j >= k the bead leaves a class x and enters a class y, and only their
-    pairs change weight (see :func:`_row_weights`): leaving x adds
+    At a row j >= k the bead leaves a class x and enters a class y, and
+    only their pairs change weight: a pair of classes r and r + 2^j holding
+    a and c beads weighs T(a - c) with T(d) = d(d-1)/2, the formula of
+    :func:`_is_odd_beta` rewritten, so leaving x adds
     cnt[x ^ 2^j] - cnt[x] + [x even], entering y adds
     cnt[y] - cnt[y ^ 2^j] + [y odd], and at j = k, where x and y share one
     pair, the second step sees the first and adds 1 more. So a candidate
-    costs O(1) per row.
-
-    The target's top row, j = bit_length(n') - 1 for the target size n',
-    never needs a check: n' = sum of 2^j w_j bounds w_j by n' / 2^j < 2
-    there. Callers pass the rows from k up to the one below it.
+    costs O(1) per row. The caller vouches for oddness: an even beta-set
+    gives meaningless slides.
     """
+    k = abs(step).bit_length() - 1
+    top = max(n + step, 0).bit_length() - 1
     # Row k's starting weight carries the extra 1 of a slide within one pair.
     checks = [
-        (cnt, 1 << j, (2 << j) - 1, weight + (j == k))
-        for j, (cnt, weight) in enumerate(zip(counts, weights), k)
+        (cnt, 1 << j, (2 << j) - 1, ((n >> j) & 1) + (j == k))
+        for j, cnt in enumerate(_residue_counts(beta, top, k), k)
     ]
     occupied = set(beta)
     slides = []
@@ -167,51 +158,6 @@ def _scan_slides(
         else:
             slides.append(beta[:i] + (c,) + beta[i + 1 :])
     return slides
-
-
-def _odd_slides(beta: tuple[int, ...], step: int) -> tuple[bool, list[tuple[int, ...]]]:
-    """Whether ``beta`` passes :func:`_is_odd_beta`, and every beta-set
-    reached from it by sliding one bead b to a free position b + step >= 0
-    whose partition passes it.
-
-    A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in place,
-    so a slide up may leave the tuple out of order. The residue counts are
-    taken once, for every row either size needs, and every row's weight is
-    read from them. A slide by 2^k changes no residue mod 2^(j+1) for j < k,
-    so those rows keep their weight; :func:`_scan_slides` updates the rows
-    from k up per candidate. :func:`_known_odd_slides` answers the same
-    question for a beta-set already known to be odd, without this count.
-    """
-    s = len(beta)
-    n = sum(beta) - s * (s - 1) // 2
-    target = n + step
-    counts = _residue_counts(beta, max(n, target).bit_length(), 0)
-    weights = _row_weights(counts)
-    odd = all(w <= 1 for w in weights[: n.bit_length()])
-    k = abs(step).bit_length() - 1
-    checked = max(target, 0).bit_length()
-    if any(w > 1 for w in weights[: min(k, checked)]):
-        return odd, []
-    # Rows k .. checked - 2: the target's top row, checked - 1, weighs at most 1.
-    top = max(checked - 1, k)
-    return odd, _scan_slides(beta, step, k, counts[k:top], weights[k:top])
-
-
-def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[int, ...]]:
-    """The slides of :func:`_odd_slides` for a beta-set of a partition of n
-    already known to be odd, without deciding that again.
-
-    Row j of the 2-core tower weighs w_j with n = sum of 2^j w_j; every w_j
-    of an odd partition is at most 1, so w_j is bit j of n. Only the rows
-    from k up to the one below the top row of n + step are counted (none
-    for the enumeration's +2^t step), the beads taken once modulo the
-    finest of them, and no weight is computed. The caller vouches for
-    oddness: an even beta-set gives meaningless slides.
-    """
-    k = abs(step).bit_length() - 1
-    top = max(n + step, 0).bit_length() - 1
-    weights = [(n >> j) & 1 for j in range(k, top)]
-    return _scan_slides(beta, step, k, _residue_counts(beta, top, k), weights)
 
 
 def _odd_additions(mu: Partition, n: int, k: int) -> list[Partition]:

@@ -130,8 +130,10 @@ def _trusted_partition(parts: tuple[int, ...]) -> Partition:
 
 
 def _partition_from_slid_beads(beads: Iterable[int]) -> Partition:
-    """The partition of ``beads``, which are distinct and non-negative by
-    construction, such as a beta-set with one bead slid to a free position.
+    """The partition of ``beads``, any distinct non-negative beads the
+    library built from a validated partition: a beta-set with one bead slid
+    to a free position, the quotient digits of one residue class, or the
+    pushed-up beads of a core.
 
     The trusted counterpart of :func:`partition_from_beta`: it sorts the
     beads and builds the :class:`Partition` without re-checking them or the

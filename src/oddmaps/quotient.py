@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partition import Partition, beta_set, partition_from_beta
+from .partition import Partition, _partition_from_slid_beads, beta_set, partition_from_beta
 
 __all__ = [
     "CoreQuotient",
@@ -75,13 +75,13 @@ def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
         raise ValueError("e must be at least 1")
     s = -(-len(lam) // e) * e
     classes = _residue_classes(beta_set(lam, s), e)
-    quotient = tuple(partition_from_beta(c) for c in classes)
+    quotient = tuple(map(_partition_from_slid_beads, classes))
     return CoreQuotient(e=e, core=_pushed_up([len(c) for c in classes], e), quotient=quotient)
 
 
 def _pushed_up(counts: list[int], e: int) -> Partition:
     """The e-core whose abacus holds counts[r] beads on runner r, all pushed up."""
-    return partition_from_beta(r + e * j for r, c in enumerate(counts) for j in range(c))
+    return _partition_from_slid_beads(r + e * j for r, c in enumerate(counts) for j in range(c))
 
 
 def e_core(lam: Partition, e: int) -> Partition:

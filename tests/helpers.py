@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from oddmaps import CommuteInstance, Partition
+from oddmaps import CommuteInstance, Partition, fiber
 from oddmaps.oddity import _is_odd_beta
 
 
@@ -43,6 +43,18 @@ def slides_by_recount(beta: tuple[int, ...], step: int) -> list[tuple[int, ...]]
         if b + step >= 0 and b + step not in occupied
     )
     return [m for m in moved if _is_odd_beta(m)]
+
+
+def odd_by_fiber_walk(rng: random.Random, n: int) -> Partition:
+    """A uniformly random odd partition of n, for n too large to sample
+    ``odd_partitions(n)``: walk up n's binary digits from the lowest, each
+    step a random member of the fiber over the partition so far."""
+    lam, m = Partition(()), 0
+    for j in range(n.bit_length()):
+        if n >> j & 1:
+            m += 1 << j
+            lam = rng.choice(fiber(lam, m, j).members)
+    return lam
 
 
 def recording_executor(created: list[int]) -> type:

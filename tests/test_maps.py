@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import commute_instances
+from helpers import commute_instances, odd_by_fiber_walk
 from oddmaps import (
     CommuteInstance,
     Partition,
@@ -13,6 +13,7 @@ from oddmaps import (
     image_misses,
     is_odd,
     is_surjective,
+    nu2_degree,
     odd_hook_removals,
     odd_partitions,
     predicted_commute,
@@ -62,15 +63,16 @@ def test_both_routes_agree():
 
 def test_remove_odd_hook_matches_references_at_large_n():
     rng = random.Random(1705)
-    for n in (40, 41, 48, 49):
-        for lam in rng.sample(odd_partitions(n), 16):
-            k = 0
-            while (1 << k) <= n:
-                got = remove_odd_hook(lam, k)
-                assert odd_hook_removals(lam, k) == (got,), (lam, k)
-                if k >= 1:
-                    assert remove_odd_hook_via_tower(lam, k) == got, (lam, k)
-                k += 1
+    sampled = [lam for n in (40, 41, 48, 49) for lam in rng.sample(odd_partitions(n), 16)]
+    # Up to tower rows 6 and 7, where odd_partitions(n) is too large to sample.
+    walked = [odd_by_fiber_walk(rng, n) for n in (64, 100, 127, 128, 200, 255) for _ in range(8)]
+    for lam in sampled + walked:
+        assert is_odd(lam) and nu2_degree(lam) == 0, lam
+        for k in range(lam.size.bit_length()):
+            got = remove_odd_hook(lam, k)
+            assert odd_hook_removals(lam, k) == (got,), (lam, k)
+            if k >= 1:
+                assert remove_odd_hook_via_tower(lam, k) == got, (lam, k)
 
 
 def test_exactly_one_odd_removal():

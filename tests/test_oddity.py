@@ -13,14 +13,7 @@ from oddmaps import (
     odd_partitions_by_filter,
     partitions_of,
 )
-from oddmaps.oddity import (
-    _is_odd_beta,
-    _known_odd_slides,
-    _odd_slides,
-    _residue_counts,
-    _row_weights,
-    d_good,
-)
+from oddmaps.oddity import _known_odd_slides, d_good
 from oddmaps.partition import beta_set, is_hook_partition
 from oddmaps.quotient import e_core, e_quotient, k_data
 from oddmaps.reference import (
@@ -53,31 +46,27 @@ def test_is_odd_matches_core_tower():
 
 
 def test_odd_slides_match_a_full_recount():
-    # Odd and even bases alike, padded or not, sliding up and down. Both
-    # entries leave the target's top tower row unchecked; every slide they
-    # return, in order, is still one a full recount calls odd.
+    # Odd bases, padded or not, sliding up and down. The scan leaves the
+    # target's top tower row unchecked; every slide it returns, in order,
+    # is still one a full recount calls odd.
     for n in range(19):
-        for lam in partitions_of(n):
-            for padding in range(4):
-                beta = beta_set(lam, len(lam) + padding)
-                odd = _is_odd_beta(beta)
-                for k in range(6):
-                    for step in (1 << k, -(1 << k)):
-                        expected = slides_by_recount(beta, step)
-                        assert _odd_slides(beta, step) == (odd, expected), (lam, padding, step)
-                        if odd:
-                            assert _known_odd_slides(beta, n, step) == expected, (lam, padding, step)
-
-
-def test_odd_row_weights_are_the_binary_digits_of_n():
-    # The fact the known-odd entry relies on, one row past n's top digit too.
-    for n in range(31):
-        digits = [(n >> j) & 1 for j in range(n.bit_length() + 1)]
         for lam in odd_partitions(n):
             for padding in range(4):
                 beta = beta_set(lam, len(lam) + padding)
-                counts = _residue_counts(beta, n.bit_length() + 1, 0)
-                assert _row_weights(counts) == digits, (lam, padding)
+                for k in range(6):
+                    for step in (1 << k, -(1 << k)):
+                        expected = slides_by_recount(beta, step)
+                        assert _known_odd_slides(beta, n, step) == expected, (lam, padding, step)
+
+
+def test_odd_row_weights_are_the_binary_digits_of_n():
+    # The fact the known-odd scan relies on, one row past n's top digit too.
+    for n in range(31):
+        rows = n.bit_length() + 1
+        digits = [(n >> j) & 1 for j in range(rows)]
+        for lam in odd_partitions(n):
+            tower = core_tower(lam)
+            assert [tower.weight(j) for j in range(rows)] == digits, lam
 
 
 def test_known_odd_removals_match_the_full_count():
@@ -87,7 +76,7 @@ def test_known_odd_removals_match_the_full_count():
                 beta = beta_set(lam, len(lam) + padding)
                 for k in range(n.bit_length()):
                     step = -(1 << k)
-                    expected = _odd_slides(beta, step)[1]
+                    expected = slides_by_recount(beta, step)
                     assert _known_odd_slides(beta, n, step) == expected, (lam, padding, k)
 
 
@@ -98,7 +87,7 @@ def test_known_odd_additions_match_the_full_count():
         for mu in odd_partitions(n - step):
             beta = beta_set(mu, len(mu) + step)
             slides = _known_odd_slides(beta, n - step, step)
-            assert slides == _odd_slides(beta, step)[1], mu
+            assert slides == slides_by_recount(beta, step), mu
             assert len(slides) == step, mu
 
 

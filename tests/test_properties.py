@@ -15,7 +15,7 @@ from oddmaps import (
     odd_partitions,
     remove_odd_hook,
 )
-from oddmaps.oddity import _known_odd_slides, _odd_slides
+from oddmaps.oddity import _known_odd_slides
 from oddmaps.partition import beta_set, partition_from_beta
 from oddmaps.reference import core_tower
 
@@ -67,7 +67,7 @@ def test_remove_odd_hook_matches_hook_enumeration(lam, data):
 def test_odd_slides_match_a_full_recount(lam, padding, k, up):
     beta = beta_set(lam, len(lam) + padding)
     step = 1 << k if up else -(1 << k)
-    assert _odd_slides(beta, step) == (True, slides_by_recount(beta, step))
+    assert _known_odd_slides(beta, lam.size, step) == slides_by_recount(beta, step)
 
 
 @reproducible
@@ -76,4 +76,4 @@ def test_known_odd_slides_match_the_full_count(lam, padding, data):
     k = data.draw(st.integers(0, lam.size.bit_length() - 1))
     beta = beta_set(lam, len(lam) + padding)
     step = -(1 << k)
-    assert _known_odd_slides(beta, lam.size, step) == _odd_slides(beta, step)[1]
+    assert _known_odd_slides(beta, lam.size, step) == slides_by_recount(beta, step)
