@@ -4,9 +4,10 @@ An odd partition of n has exactly one hook of length 2^k whose removal
 leaves an odd partition; removing it is the restriction map down to
 n - 2^k. Production code computes it with one route on the abacus:
 removing a 2^k-hook slides one bead of the beta-set down by 2^k. The map
-decides oddness once, by the abacus count, and then keeps the one slide
-that stays odd, read by the known-odd slide scan: an odd partition's
-tower row weights are the binary digits of n, so none is counted again.
+decides oddness once, by peeling n's binary digits off as such slides,
+top first, and then keeps the one slide by 2^k that stays odd, read by
+the known-odd slide scan: an odd partition's tower row weights are the
+binary digits of n, so the scan starts from them instead of counting.
 A fiber needs no level: an odd partition of n made from an odd mu by
 adding a 2^k-hook has mu as its only odd 2^k-removal, so :func:`fiber`
 reads mu's odd 2^k-hook additions, the upward slide scan that also
@@ -15,7 +16,7 @@ table of images per (n, k), built once from the route over every odd
 partition of n: :func:`image_misses` lists the partitions no image
 reaches, and :func:`commute_verdict` composes four tables. Every
 partition of a level comes from the enumeration, so the tables skip the
-oddness count and go straight to the removal, and each image is built
+oddness test and go straight to the removal, and each image is built
 without re-checking the slid beads.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
@@ -124,9 +125,9 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     that compositions with 2^k + 2^l = n stay inside the domain. Each
     2^k-hook is a slide of a bead b to a free position b - 2^k; exactly one
     slide may leave an odd partition. Oddness is decided once, by the
-    abacus count; the slide is then read by the known-odd scan
-    :func:`_known_odd_slides`, which takes the tower's row weights from the
-    binary digits of the size.
+    digit peel of :func:`_is_odd_beta`; the slide is then read by the
+    known-odd scan :func:`_known_odd_slides`, which takes the tower's row
+    weights from the binary digits of the size.
     """
     beta = beta_set(lam)
     if not _is_odd_beta(beta):

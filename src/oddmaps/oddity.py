@@ -1,12 +1,15 @@
 """Oddness, odd-partition enumeration, and goodness bookkeeping.
 
-A partition labels an odd-degree character exactly when every row of its
-2-core tower has weight at most 1. This module decides that on the
-abacus: the weight of tower row k depends only on how many beads of a
-beta-set fall in each residue class mod 2^(k+1), so no tower is built.
-The tests compare the count with the core tower of ``reference``.
+A partition of n labels an odd-degree character exactly when every row of
+its 2-core tower has weight at most 1. With 2^t the top binary digit of n,
+that holds exactly when it has a 2^t-hook whose removal leaves an odd
+partition of n - 2^t, so this module decides oddness by peeling n's
+binary digits off, top first, as hook removals: bead slides on the abacus,
+with no tower built and no weight counted (:func:`_is_odd_beta`). The
+tests compare the peel with Frobenius's degree formula and with the core
+tower of ``reference``.
 
-Once a partition of n is known to be odd, no weight needs counting again:
+Once a partition of n is known to be odd, no weight needs counting:
 row j of its tower weighs w_j <= 1 and n = sum of 2^j w_j, so w_j is bit j
 of n. Hook additions and removals of length 2^k are bead slides by 2^k,
 and :func:`_known_odd_slides`, the one slide scan, tests all of them from
@@ -17,7 +20,7 @@ a recount. The map of ``maps`` decides oddness once and then reads its
 slide from this scan, as do the enumeration, the fibers and the level
 tables.
 
-The enumeration is constructive. With 2^t the top binary digit of n,
+The enumeration is the peel run forwards. With 2^t the top digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an
 odd partition mu of n - 2^t, and adding a 2^t-hook slides one bead b up to
 a free b + 2^t (:func:`_odd_additions`). Each partition built so has mu
@@ -58,33 +61,34 @@ class DnkDecomposition:
 
 
 def _is_odd_beta(beta: tuple[int, ...]) -> bool:
-    """Oddness of the partition with beta-set ``beta``, on the abacus.
+    """Oddness of the partition with beta-set ``beta``, by peeling the
+    binary digits of its size n off as hooks, the top digit first.
 
-    Each entry of quotient-tower row k is read off the beads in one residue
-    class r mod 2^k. Those at r and at r + 2^k mod 2^(k+1) become its even
-    and odd beads, a and c of them, so its 2-core has
-    a(a-1) + c^2 - (a+c)(a+c-1)/2 cells. Row k's weight is the sum over
-    r < 2^k; rows with 2^k above the partition's size n weigh nothing.
+    With 2^t the top digit of n, removing a 2^t-hook slides a bead b >= 2^t
+    down to a free b - 2^t. The peel makes that slide, takes 2^t from n and
+    goes on; the partition is odd iff n reaches 0, and even as soon as a
+    digit finds no slide. This is right for two reasons:
 
-    The top row, 2^k <= n < 2^(k+1), is not counted: the size identity
-    n = sum of 2^j w_j bounds its weight by n / 2^k < 2, so the loop stops
-    below it. The count works coarsest row first and stops at the first
-    row that weighs more than 1, which most partitions have early.
+    - (i) At k = t the unique odd 2^k-hook removal is Macdonald's test: a
+      partition of n is odd iff it has a 2^t-hook whose removal is odd.
+      Read backwards it is the enumeration: every +2^t slide of an odd mu
+      of n - 2^t is odd, and :func:`odd_partitions` counts exactly 2^t.
+    - (ii) Since n < 2^(t+1), the 2^t-weight is at most 1, so at most one
+      bead can slide and the peel never chooses between beads.
     """
     s = len(beta)
     n = sum(beta) - s * (s - 1) // 2
-    half = 1
-    while 2 * half <= n:
-        mask = 2 * half - 1
-        counts = [0] * (2 * half)
-        for b in beta:
-            counts[b & mask] += 1
-        weight = 0
-        for a, c in zip(counts[:half], counts[half:]):
-            weight += a * (a - 1) + c * c - (a + c) * (a + c - 1) // 2
-        if weight > 1:
+    beads = set(beta)
+    while n:
+        step = 1 << (n.bit_length() - 1)
+        for b in beads:
+            if b >= step and b - step not in beads:
+                break
+        else:
             return False
-        half *= 2
+        beads.remove(b)
+        beads.add(b - step)
+        n -= step
     return True
 
 
@@ -128,8 +132,9 @@ def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[in
 
     At a row j >= k the bead leaves a class x and enters a class y, and
     only their pairs change weight: a pair of classes r and r + 2^j holding
-    a and c beads weighs T(a - c) with T(d) = d(d-1)/2, the formula of
-    :func:`_is_odd_beta` rewritten, so leaving x adds
+    a and c beads is one entry of the row, with a even and c odd beads on
+    its 2-abacus, and weighs T(a - c), the size of that entry's 2-core,
+    with T(d) = d(d-1)/2. So leaving x adds
     cnt[x ^ 2^j] - cnt[x] + [x even], entering y adds
     cnt[y] - cnt[y ^ 2^j] + [y odd], and at j = k, where x and y share one
     pair, the second step sees the first and adds 1 more. So a candidate
@@ -178,8 +183,9 @@ def _odd_additions(mu: Partition, n: int, k: int) -> list[Partition]:
 def is_odd(lam: Partition) -> bool:
     """True iff the character labelled by ``lam`` has odd degree.
 
-    Every 2-core tower row must have weight at most 1; the empty partition
-    counts as odd.
+    The binary digits 2^t of the size are peeled off as 2^t-hooks, top
+    first (:func:`_is_odd_beta`): ``lam`` is odd iff every digit comes off.
+    The empty partition counts as odd.
     """
     return _is_odd_beta(beta_set(lam))
 

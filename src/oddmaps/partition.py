@@ -110,14 +110,12 @@ def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
 
 def partition_from_beta(beta: Iterable[int]) -> Partition:
     """Inverse of :func:`beta_set`: recover the partition from beta numbers."""
-    beta = sorted(map(index, beta), reverse=True)
+    beta = tuple(map(index, beta))
     if any(b < 0 for b in beta):
         raise ValueError("beta numbers must be non-negative")
     if len(set(beta)) != len(beta):
         raise ValueError("beta numbers must be distinct")
-    s = len(beta)
-    parts = [b - (s - 1 - i) for i, b in enumerate(beta)]
-    return Partition([p for p in parts if p > 0])
+    return _partition_from_slid_beads(beta)
 
 
 def _trusted_partition(parts: tuple[int, ...]) -> Partition:
@@ -130,14 +128,14 @@ def _trusted_partition(parts: tuple[int, ...]) -> Partition:
 
 
 def _partition_from_slid_beads(beads: Iterable[int]) -> Partition:
-    """The partition of ``beads``, any distinct non-negative beads the
-    library built from a validated partition: a beta-set with one bead slid
-    to a free position, the quotient digits of one residue class, or the
-    pushed-up beads of a core.
+    """The partition of ``beads``, any distinct non-negative beads: a
+    beta-set with one bead slid to a free position, the quotient digits of
+    one residue class, the pushed-up beads of a core, or the beads
+    :func:`partition_from_beta` has checked.
 
-    The trusted counterpart of :func:`partition_from_beta`: it sorts the
-    beads and builds the :class:`Partition` without re-checking them or the
-    parts, which are then weakly decreasing and positive.
+    It sorts the beads and builds the :class:`Partition` without checking
+    the parts: sorted distinct beads always give weakly decreasing positive
+    ones.
     """
     beta = sorted(beads, reverse=True)
     s = len(beta)
@@ -193,6 +191,7 @@ def is_hook_partition(lam: Partition) -> bool:
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n in descending lexicographic order."""
+    n = index(n)
     if n < 0:
         raise ValueError("partitions are defined for non-negative integers")
     if n == 0:

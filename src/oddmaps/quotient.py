@@ -15,9 +15,9 @@ abacus fact of James and Kerber), so a question that ignores the order
 reads row k from one ``e_quotient(lam, 2**k)`` pass. Only the k-data
 tables, which the ``tower`` command prints, need the order; they walk
 the tower level by level. Production code never builds a whole tower:
-oddness and the removal map work on bead counts of a beta-set. The full
+oddness and the removal map work on bead slides of a beta-set. The full
 core tower and the rebuild of a partition from its k-data are kept in
-``reference``, where the tests check those counts against them.
+``reference``, where the tests check those slides against them.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ with one route on the abacus (``oddity`` and ``maps``); nothing there
 imports this module. Each route here answers one of those questions
 another way, straight from the definitions:
 
-- hook enumeration and rim-hook removal cell by cell
-  (:func:`hooks_of_length`, :func:`remove_hook`), and the map as every
-  2^k-hook removal filtered by oddness (:func:`odd_hook_removals`);
+- hook enumeration on the diagram, by arm and leg lengths
+  (:func:`hooks_of_length`), each hook removed as a bead slide on the
+  beta numbers (:func:`remove_hook`), and the map as every 2^k-hook
+  removal filtered by oddness (:func:`odd_hook_removals`). The route
+  stands apart from production's slide scan by finding its hooks on the
+  diagram; its oddness filter is ``is_odd``, the production digit peel;
 - the 2-core tower (:func:`core_tower`), oddness read from one tower row
   (:func:`is_odd_via_row`), and the map as tower surgery that removes a
   single cell from one entry of quotient row k and rebuilds the partition

@@ -35,7 +35,9 @@ def commute_instances(n_max: int) -> Iterator[CommuteInstance]:
 
 def slides_by_recount(beta: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
     """Every slide of one bead of ``beta`` by ``step`` to a free position
-    that stays odd, each moved tuple recounted from scratch."""
+    that stays odd, each moved tuple tested from scratch by the digit peel
+    of ``_is_odd_beta``: hook removals, not the row-weight updates of the
+    slide scan it is compared with."""
     occupied = set(beta)
     moved = (
         beta[:i] + (b + step,) + beta[i + 1 :]

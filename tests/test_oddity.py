@@ -1,9 +1,10 @@
+import random
 import tracemalloc
 from collections import defaultdict
 
 import pytest
 
-from helpers import slides_by_recount
+from helpers import odd_by_fiber_walk, random_partition, slides_by_recount
 from oddmaps import (
     Partition,
     dnk,
@@ -37,6 +38,17 @@ def test_is_odd_matches_degree_parity():
     for n in range(1, 21):
         for lam in partitions_of(n):
             assert is_odd(lam) == (nu2_degree(lam) == 0), lam
+    # Far past the exhaustive range: 8 seeded odd partitions of each n,
+    # walked up fibers, and 60 seeded nonempty partitions of up to 255,
+    # most of them even.
+    rng = random.Random(1705)
+    sample = [odd_by_fiber_walk(rng, n) for n in (64, 100, 127, 128, 200, 255) for _ in range(8)]
+    while len(sample) < 48 + 60:
+        lam = random_partition(rng, 255)
+        if lam.size:
+            sample.append(lam)
+    for lam in sample:
+        assert is_odd(lam) == (nu2_degree(lam) == 0), lam
 
 
 def test_is_odd_matches_core_tower():

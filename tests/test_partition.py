@@ -192,3 +192,7 @@ def test_partitions_of_enumeration():
         assert all(p.size == n for p in ps)
     with pytest.raises(ValueError):
         list(partitions_of(-1))
+    # A generator: the checks run on the first step, inside pytest.raises.
+    for bad in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            list(partitions_of(bad))
