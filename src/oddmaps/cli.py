@@ -27,7 +27,12 @@ Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 size of the partition given to ``tower`` and ``verify --max-n``;
 ``surjective`` is uncapped, since its criterion is closed-form; a value
 that is not an integer is a usage error. ``verify
---jobs`` starts at most one worker process per level and per CPU.
+--jobs`` starts at most one worker process per level and per CPU, and the
+process pool is loaded only when more than one worker starts.
+
+The parser is built once, when this module is imported (``_PARSER``), and
+``main`` parses every command line with it; :func:`build_parser` builds a
+fresh one.
 """
 
 from __future__ import annotations
@@ -279,6 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def _sweep_cap() -> int:
     """``ODDMAPS_MAX_N`` as an integer, 40 when it is unset."""
     text = os.environ.get("ODDMAPS_MAX_N", "40")
@@ -290,7 +298,7 @@ def _sweep_cap() -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         n = attrgetter(command.cap)(args) if command.cap else None

@@ -35,7 +35,7 @@ backed by constructed counterexample witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .oddity import (
@@ -67,33 +67,34 @@ __all__ = [
 _EMPTY = Partition(())
 
 
-@dataclass(frozen=True)
-class Fiber:
-    """All odd partitions of n that restrict to ``mu`` by one 2^k-hook removal."""
+class Fiber(namedtuple("Fiber", "mu n k members")):
+    """All odd partitions of n that restrict to ``mu`` by one 2^k-hook removal.
 
-    mu: Partition
-    n: int
-    k: int
-    members: tuple[Partition, ...]
+    Fields: ``mu: Partition``, ``n: int``, ``k: int``,
+    ``members: tuple[Partition, ...]``.
+    """
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class CommuteInstance:
-    """A triple (n; k, l) with k < l and 2^k + 2^l <= n."""
+class CommuteInstance(namedtuple("CommuteInstance", "n k l")):
+    """A triple (n; k, l) with k < l and 2^k + 2^l <= n.
 
-    n: int
-    k: int
-    l: int
+    Fields: ``n: int``, ``k: int``, ``l: int``.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.k < self.l:
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, l: int) -> CommuteInstance:
+        if not 0 <= k < l:
             raise ValueError("need 0 <= k < l")
-        if self.l >= self.n.bit_length() or (1 << self.k) + (1 << self.l) > self.n:
+        if l >= n.bit_length() or (1 << k) + (1 << l) > n:
             raise ValueError("need 2^k + 2^l <= n")
+        return super().__new__(cls, n, k, l)
 
     @property
     def t(self) -> int:
@@ -106,15 +107,22 @@ class CommuteInstance:
         return self.n - (1 << self.t)
 
 
-@dataclass(frozen=True)
-class CommuteVerdict:
-    instance: CommuteInstance
-    commutes: bool
-    witness: Partition | None
+class CommuteVerdict(namedtuple("CommuteVerdict", "instance commutes witness")):
+    """Whether the two removals of ``instance`` commute on every odd
+    partition of n, with a partition where they disagree when they do not.
 
-    def __post_init__(self) -> None:
-        if self.commutes != (self.witness is None):
+    Fields: ``instance: CommuteInstance``, ``commutes: bool``,
+    ``witness: Partition | None``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, instance: CommuteInstance, commutes: bool, witness: Partition | None
+    ) -> CommuteVerdict:
+        if commutes != (witness is None):
             raise ValueError("witness must be present exactly when the maps disagree")
+        return super().__new__(cls, instance, commutes, witness)
 
 
 def remove_odd_hook(lam: Partition, k: int) -> Partition:

@@ -32,7 +32,7 @@ partitions in ``reference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
@@ -50,14 +50,13 @@ __all__ = [
 _EMPTY = Partition(())
 
 
-@dataclass(frozen=True)
-class DnkDecomposition:
-    """floor(n / 2^k) split as 2^d + m with 2^(d+1) dividing m."""
+class DnkDecomposition(namedtuple("DnkDecomposition", "n k d m")):
+    """floor(n / 2^k) split as 2^d + m with 2^(d+1) dividing m.
 
-    n: int
-    k: int
-    d: int
-    m: int
+    Fields: ``n: int``, ``k: int``, ``d: int``, ``m: int``.
+    """
+
+    __slots__ = ()
 
 
 def _is_odd_beta(beta: tuple[int, ...]) -> bool:

@@ -29,8 +29,7 @@ decoded back to parts.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Any, Iterator
 
@@ -45,21 +44,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    """One disagreement between the oracle and the implementation."""
+class Mismatch(namedtuple("Mismatch", "lam k expected got")):
+    """One disagreement between the oracle and the implementation.
 
-    lam: Partition
-    k: int | None
-    expected: Any
-    got: Any
+    Fields: ``lam: Partition``, ``k: int | None`` (None for the oddness
+    check), ``expected: Any``, ``got: Any``.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParityReport:
-    n_max: int
-    checks_run: int
-    mismatches: tuple[Mismatch, ...]
+class ParityReport(namedtuple("ParityReport", "n_max checks_run mismatches")):
+    """What one :func:`cross_validate` sweep ran and found.
+
+    Fields: ``n_max: int``, ``checks_run: int``,
+    ``mismatches: tuple[Mismatch, ...]``.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -250,7 +252,10 @@ def cross_validate(n_max: int, jobs: int = 1) -> ParityReport:
     the odd-constituent comparison on every odd partition and every k.
 
     Levels run in at most ``jobs`` worker processes, never more than there
-    are levels or CPUs: the pool starts all of its workers at once.
+    are levels or CPUs: the pool starts all of its workers at once. The
+    process pool is imported only when more than one worker runs, so a
+    serial sweep, and every import of this module, loads no
+    ``multiprocessing``.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -259,6 +264,8 @@ def cross_validate(n_max: int, jobs: int = 1) -> ParityReport:
     levels = range(1, n_max + 1)
     workers = min(jobs, len(levels), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_level, levels))
     else:

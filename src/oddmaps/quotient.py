@@ -22,7 +22,7 @@ core tower and the rebuild of a partition from its k-data are kept in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partition import Partition, _partition_from_slid_beads, beta_set, partition_from_beta
 
@@ -37,13 +37,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoreQuotient:
-    """An e-core together with the e-tuple of quotient components."""
+class CoreQuotient(namedtuple("CoreQuotient", "e core quotient")):
+    """An e-core together with the e-tuple of quotient components.
 
-    e: int
-    core: Partition
-    quotient: tuple[Partition, ...]
+    Fields: ``e: int``, ``core: Partition``, ``quotient: tuple[Partition, ...]``.
+    """
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -51,14 +51,15 @@ class CoreQuotient:
         return self.core.size + self.e * sum(q.size for q in self.quotient)
 
 
-@dataclass(frozen=True)
-class KData:
+class KData(namedtuple("KData", "k core_rows quotient_row")):
     """Core-tower rows 0..k-1 plus quotient-tower row k, left to right;
-    determines the partition."""
+    determines the partition.
 
-    k: int
-    core_rows: tuple[tuple[Partition, ...], ...]
-    quotient_row: tuple[Partition, ...]
+    Fields: ``k: int``, ``core_rows: tuple[tuple[Partition, ...], ...]``,
+    ``quotient_row: tuple[Partition, ...]``.
+    """
+
+    __slots__ = ()
 
 
 def _residue_classes(beta: tuple[int, ...], e: int) -> list[list[int]]:

@@ -25,7 +25,7 @@ all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .oddity import is_odd
@@ -48,23 +48,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hook:
+class Hook(namedtuple("Hook", "row col arm leg")):
     """A cell of a partition together with its arm and leg counts.
 
     Rows and columns are 1-based. The length is arm + leg + 1.
+    Fields: ``row: int``, ``col: int``, ``arm: int``, ``leg: int``.
     """
 
-    row: int
-    col: int
-    arm: int
-    leg: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.row < 1 or self.col < 1:
+    def __new__(cls, row: int, col: int, arm: int, leg: int) -> Hook:
+        if row < 1 or col < 1:
             raise ValueError("hook cell coordinates are 1-based")
-        if self.arm < 0 or self.leg < 0:
+        if arm < 0 or leg < 0:
             raise ValueError("arm and leg must be non-negative")
+        return super().__new__(cls, row, col, arm, leg)
 
     @property
     def length(self) -> int:
@@ -113,17 +111,16 @@ def remove_hook(lam: Partition, hook: Hook) -> Partition:
     return partition_from_beta(beta)
 
 
-@dataclass(frozen=True)
-class CoreTower:
+class CoreTower(namedtuple("CoreTower", "rows weights")):
     """2-core tower rows, up to and including the first all-empty tower row.
 
-    ``weights[k]`` is the total number of cells in row k; trailing zero
-    weights are trimmed, so the last stored row (whose entries' sources were
-    all empty) carries no weight entry.
+    Fields: ``rows: tuple[tuple[Partition, ...], ...]``,
+    ``weights: tuple[int, ...]``. ``weights[k]`` is the total number of
+    cells in row k; trailing zero weights are trimmed, so the last stored
+    row (whose entries' sources were all empty) carries no weight entry.
     """
 
-    rows: tuple[tuple[Partition, ...], ...]
-    weights: tuple[int, ...]
+    __slots__ = ()
 
     def weight(self, k: int) -> int:
         return self.weights[k] if 0 <= k < len(self.weights) else 0

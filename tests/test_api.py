@@ -2,6 +2,8 @@
 and that production never imports the reference routes."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import oddmaps
@@ -80,3 +82,17 @@ def test_production_never_imports_the_reference_routes():
     for module, names in imported.items():
         assert not [name for name in names if "reference" in name], module
     assert "hooks_of_length" not in imported[oddmaps.quotient]
+
+
+def test_cold_import_loads_no_process_pool_and_no_dataclasses():
+    # A fresh interpreter, so that nothing pytest loaded counts.
+    src = str(Path(oddmaps.__file__).resolve().parents[1])
+    unwanted = ("concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import oddmaps, oddmaps.cli; "
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

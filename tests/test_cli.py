@@ -316,7 +316,7 @@ def test_out_write_failure_exit_2(tmp_path, capsys):
 
 def test_verify_jobs_clamped_without_starting_processes(capsys, monkeypatch):
     created = []
-    monkeypatch.setattr("oddmaps.oracle.ProcessPoolExecutor", recording_executor(created))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_executor(created))
     monkeypatch.setattr("oddmaps.oracle.os.cpu_count", lambda: 8)
     code, out = run_cli(capsys, "verify", "--max-n", "5", "--jobs", "100000")
     assert code == 0 and out == "checks run: 44\nmismatches: 0\n"

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -197,6 +198,11 @@ def test_commute_instance_fields():
         CommuteInstance(4, 0, 2)
     with pytest.raises(ValueError):
         CommuteVerdict(inst, commutes=True, witness=P((5, 5, 1, 1, 1)))
+    with pytest.raises(AttributeError):
+        inst.n = 14
+    verdict = CommuteVerdict(inst, commutes=False, witness=P((5, 5, 1, 1, 1)))
+    for record in (inst, verdict):
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_predicted_commute_examples():

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from functools import lru_cache
 
@@ -185,7 +186,7 @@ def test_cross_validate_parallel_matches_serial():
 
 def test_cross_validate_bounds_workers(monkeypatch):
     created = []
-    monkeypatch.setattr("oddmaps.oracle.ProcessPoolExecutor", recording_executor(created))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_executor(created))
     monkeypatch.setattr("oddmaps.oracle.os.cpu_count", lambda: 8)
     serial = cross_validate(12)
     assert cross_validate(12, jobs=100_000) == serial
@@ -214,5 +215,6 @@ def test_a_raising_map_is_that_checks_mismatch(capsys, monkeypatch):
     assert report.mismatches == (
         Mismatch(lam=P((3,)), k=1, expected=P((1,)), got="error: injected failure"),
     )
+    assert pickle.loads(pickle.dumps(report)) == report
     assert main(["verify", "--max-n", "5"]) == 1
     assert "[3] k=1: expected [1], got error: injected failure" in capsys.readouterr().out
