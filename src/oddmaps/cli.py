@@ -46,7 +46,6 @@ import shlex
 import sys
 from collections import namedtuple
 from operator import attrgetter
-from typing import Any
 
 from .maps import (
     CommuteInstance,
@@ -99,26 +98,26 @@ def _partition_arg(text: str) -> Partition:
 
 
 # Every input flag but the required integers --n, --k, --l and --max-n.
-_INPUTS: dict[str, dict[str, Any]] = {
+_INPUTS: dict[str, dict[str, object]] = {
     "--lambda": {"dest": "lam", "type": _partition_arg, "required": True},
     "--mu": {"type": _partition_arg, "required": True},
     "--jobs": {"type": int, "default": 1},
 }
 
 
-def _odd_list(args: argparse.Namespace) -> dict[str, Any]:
+def _odd_list(args: argparse.Namespace) -> dict[str, object]:
     members = odd_partitions(args.n)
     return {"n": args.n, "members": members, "size": len(members)}
 
 
-def _fk(args: argparse.Namespace) -> dict[str, Any]:
+def _fk(args: argparse.Namespace) -> dict[str, object]:
     if args.lam.size != args.n:
         args.parser.error(f"lambda has size {args.lam.size}, expected n={args.n}")
     result = remove_odd_hook(args.lam, args.k)
     return {"n": args.n, "k": args.k, "lambda": args.lam, "result": result}
 
 
-def _fiber(args: argparse.Namespace) -> dict[str, Any]:
+def _fiber(args: argparse.Namespace) -> dict[str, object]:
     fib = fiber(args.mu, args.n, args.k)
     return {
         "n": args.n,
@@ -130,7 +129,7 @@ def _fiber(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _image(args: argparse.Namespace) -> dict[str, Any]:
+def _image(args: argparse.Namespace) -> dict[str, object]:
     missed = image_misses(args.n, args.k)
     return {
         "n": args.n,
@@ -141,12 +140,12 @@ def _image(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _surjective(args: argparse.Namespace) -> dict[str, Any]:
+def _surjective(args: argparse.Namespace) -> dict[str, object]:
     result = is_surjective(args.n, args.k)
     return {"n": args.n, "k": args.k, "d": dnk(args.n, args.k).d, "result": result}
 
 
-def _commute(args: argparse.Namespace) -> dict[str, Any]:
+def _commute(args: argparse.Namespace) -> dict[str, object]:
     verdict = commute_verdict(CommuteInstance(n=args.n, k=args.k, l=args.l))
     return {
         "n": args.n,
@@ -157,12 +156,12 @@ def _commute(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _witness(args: argparse.Namespace) -> dict[str, Any]:
+def _witness(args: argparse.Namespace) -> dict[str, object]:
     lam = counterexample_witness(CommuteInstance(n=args.n, k=args.k, l=args.l))
     return {"n": args.n, "k": args.k, "l": args.l, "witness": lam}
 
 
-def _tower(args: argparse.Namespace) -> dict[str, Any]:
+def _tower(args: argparse.Namespace) -> dict[str, object]:
     # Row k holds 2^k entries and lies past the first all-empty row once
     # 2^(k-1) > max(|lambda|, 1); compared by bit length so no 2^k is built.
     if args.k > max(args.lam.size, 1).bit_length():
@@ -171,7 +170,7 @@ def _tower(args: argparse.Namespace) -> dict[str, Any]:
     return {"lambda": args.lam, "k": args.k, "result": data.core_rows + (data.quotient_row,)}
 
 
-def _verify(args: argparse.Namespace) -> dict[str, Any]:
+def _verify(args: argparse.Namespace) -> dict[str, object]:
     report = cross_validate(args.max_n, jobs=args.jobs)
     mismatches = [
         {"lambda": m.lam, "k": m.k, "expected": str(m.expected), "got": str(m.got)}
@@ -181,7 +180,7 @@ def _verify(args: argparse.Namespace) -> dict[str, Any]:
     return {"report": record}
 
 
-def _text(record: dict[str, Any]) -> str:
+def _text(record: dict[str, object]) -> str:
     """One member per line for a record with ``members``, else its last value."""
     if "members" in record:
         return "\n".join(str(p) for p in record["members"])
@@ -189,7 +188,7 @@ def _text(record: dict[str, Any]) -> str:
     return ("true" if last else "false") if isinstance(last, bool) else str(last)
 
 
-def _rows(record: dict[str, Any]) -> list[list[Any]]:
+def _rows(record: dict[str, object]) -> list[list[object]]:
     """A ``partition`` column for a record with ``members``, else one header
     row of keys over one row of values."""
     if "members" in record:
@@ -198,12 +197,12 @@ def _rows(record: dict[str, Any]) -> list[list[Any]]:
     return [list(record), [str(v) if isinstance(v, Partition) else v for v in record.values()]]
 
 
-def _commute_text(record: dict[str, Any]) -> str:
+def _commute_text(record: dict[str, object]) -> str:
     text = "commutes: " + ("true" if record["commutes"] else "false")
     return text if record["witness"] is None else f"{text}\nwitness: {record['witness']}"
 
 
-def _verify_text(record: dict[str, Any]) -> str:
+def _verify_text(record: dict[str, object]) -> str:
     report = record["report"]
     lines = [f"checks run: {report['checks_run']}", f"mismatches: {len(report['mismatches'])}"]
     for m in report["mismatches"]:
@@ -244,7 +243,7 @@ _COMMANDS = {
 }
 
 
-def _emit(args: argparse.Namespace, record: dict[str, Any], command: _Command) -> None:
+def _emit(args: argparse.Namespace, record: dict[str, object], command: _Command) -> None:
     """Render a command's record in the requested format and write it out.
 
     JSON writes each partition as its list of parts; text and CSV follow the

@@ -4,10 +4,9 @@ An odd partition of n has exactly one hook of length 2^k whose removal
 leaves an odd partition; removing it is the restriction map down to
 n - 2^k. Production code computes it with one route on the abacus:
 removing a 2^k-hook slides one bead of the beta-set down by 2^k. The map
-decides oddness once, by peeling n's binary digits off as such slides,
-top first, and then keeps the one slide by 2^k that stays odd, read by
-the known-odd slide scan: an odd partition's tower row weights are the
-binary digits of n, so the scan starts from them instead of counting.
+decides oddness by peeling n's binary digits off as such slides, top
+first, and then keeps the one slide by 2^k whose result peels too: the
+same peel tests the partition and each of its candidate slides.
 A fiber needs no level: an odd partition of n made from an odd mu by
 adding a 2^k-hook has mu as its only odd 2^k-removal, so :func:`fiber`
 reads mu's odd 2^k-hook additions, the upward slide scan that also
@@ -132,10 +131,9 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     Accepts 2^k equal to the size of ``lam`` (the result is then empty), so
     that compositions with 2^k + 2^l = n stay inside the domain. Each
     2^k-hook is a slide of a bead b to a free position b - 2^k; exactly one
-    slide may leave an odd partition. Oddness is decided once, by the
-    digit peel of :func:`_is_odd_beta`; the slide is then read by the
-    known-odd scan :func:`_known_odd_slides`, which takes the tower's row
-    weights from the binary digits of the size.
+    slide may leave an odd partition. The digit peel of
+    :func:`_is_odd_beta` decides the oddness of ``lam``, and the slide scan
+    :func:`_known_odd_slides` keeps the one slide whose result peels.
     """
     beta = beta_set(lam)
     if not _is_odd_beta(beta):

@@ -5,20 +5,15 @@ its 2-core tower has weight at most 1. With 2^t the top binary digit of n,
 that holds exactly when it has a 2^t-hook whose removal leaves an odd
 partition of n - 2^t, so this module decides oddness by peeling n's
 binary digits off, top first, as hook removals: bead slides on the abacus,
-with no tower built and no weight counted (:func:`_is_odd_beta`). The
-tests compare the peel with Frobenius's degree formula and with the core
-tower of ``reference``.
+with no tower built and no weight counted (:func:`_peels`). The tests
+compare the peel with Frobenius's degree formula and with the core tower
+of ``reference``.
 
-Once a partition of n is known to be odd, no weight needs counting:
-row j of its tower weighs w_j <= 1 and n = sum of 2^j w_j, so w_j is bit j
-of n. Hook additions and removals of length 2^k are bead slides by 2^k,
-and :func:`_known_odd_slides`, the one slide scan, tests all of them from
-n's binary digits and one count of the beads: a slide leaves the rows
-below k as they are and changes each row from k up in at most two pairs
-of residue classes, so each candidate costs one update per row instead of
-a recount. The map of ``maps`` decides oddness once and then reads its
-slide from this scan, as do the enumeration, the fibers and the level
-tables.
+The peel is the one oddness kernel. Hook additions and removals of length
+2^k are bead slides by 2^k, and :func:`_known_odd_slides`, the one slide
+scan, keeps each slide whose bead mask peels. The map of ``maps`` decides
+oddness once and then reads its slide from this scan, as do the
+enumeration, the fibers and the level tables.
 
 The enumeration is the peel run forwards. With 2^t the top digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an
@@ -34,7 +29,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import add
 
 from .partition import Partition, _partition_from_slid_beads, beta_set, is_hook_partition, nu2
 from .quotient import e_core
@@ -59,58 +53,40 @@ class DnkDecomposition(namedtuple("DnkDecomposition", "n k d m")):
     __slots__ = ()
 
 
-def _is_odd_beta(beta: tuple[int, ...]) -> bool:
-    """Oddness of the partition with beta-set ``beta``, by peeling the
-    binary digits of its size n off as hooks, the top digit first.
+def _peels(x: int, n: int) -> bool:
+    """Oddness of the partition of n whose beta-set is the set bits of the
+    bead mask ``x``, by peeling the binary digits of n off as hooks, the top
+    digit first.
 
     With 2^t the top digit of n, removing a 2^t-hook slides a bead b >= 2^t
-    down to a free b - 2^t. The peel makes that slide, takes 2^t from n and
-    goes on; the partition is odd iff n reaches 0, and even as soon as a
-    digit finds no slide. This is right for two reasons:
+    down to a free b - 2^t, and ``(x >> 2^t) & ~x`` marks the free targets.
+    The peel makes that slide, takes 2^t from n and goes on; the partition
+    is odd iff n reaches 0, and even as soon as a digit finds no slide. This
+    is right for two reasons:
 
     - (i) At k = t the unique odd 2^k-hook removal is Macdonald's test: a
       partition of n is odd iff it has a 2^t-hook whose removal is odd.
       Read backwards it is the enumeration: every +2^t slide of an odd mu
       of n - 2^t is odd, and :func:`odd_partitions` counts exactly 2^t.
-    - (ii) Since n < 2^(t+1), the 2^t-weight is at most 1, so at most one
-      bead can slide and the peel never chooses between beads.
+    - (ii) One XOR moves exactly one bead: the hooks of length 2^t number
+      at most the 2^t-weight, which is at most n / 2^t < 2, so the targets
+      hold at most one bit and the peel never chooses between beads.
     """
-    s = len(beta)
-    n = sum(beta) - s * (s - 1) // 2
-    beads = set(beta)
     while n:
         step = 1 << (n.bit_length() - 1)
-        for b in beads:
-            if b >= step and b - step not in beads:
-                break
-        else:
+        low = (x >> step) & ~x
+        if not low:
             return False
-        beads.remove(b)
-        beads.add(b - step)
+        x ^= low | (low << step)
         n -= step
     return True
 
 
-def _residue_counts(beta: tuple[int, ...], top: int, bottom: int) -> list[list[int]]:
-    """Bead counts of ``beta`` in each residue class mod 2^(j+1), one list
-    per row j = bottom .. top-1, coarsest first; empty when top <= bottom.
-
-    Beads are counted once mod 2^top, at the finest row; the classes of row
-    j mod 2^(j+1) then merge pairs of the classes of row j + 1.
-    """
-    if top <= bottom:
-        return []
-    mask = (1 << top) - 1
-    cnt = [0] * (mask + 1)
-    for b in beta:
-        cnt[b & mask] += 1
-    counts = [cnt]
-    for _ in range(top - 1 - bottom):
-        half = len(cnt) // 2
-        cnt = list(map(add, cnt[:half], cnt[half:]))
-        counts.append(cnt)
-    counts.reverse()
-    return counts
+def _is_odd_beta(beta: tuple[int, ...]) -> bool:
+    """Oddness of the partition with beta-set ``beta``: the peel
+    (:func:`_peels`) of its bead mask."""
+    s = len(beta)
+    return _peels(sum(1 << b for b in beta), sum(beta) - s * (s - 1) // 2)
 
 
 def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[int, ...]]:
@@ -119,47 +95,18 @@ def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[in
     partition is odd.
 
     A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in
-    place, so a slide up may leave the tuple out of order. Row j of the
-    2-core tower weighs w_j with n = sum of 2^j w_j; every w_j of an odd
-    partition is at most 1, so w_j is bit j of n and no weight is counted.
-    A slide by 2^k changes no residue mod 2^(j+1) for j < k, so those rows
-    keep their weight. The target's top row, j = bit_length(n') - 1 for the
-    target size n' = n + step, never needs a check: the same identity bounds
-    its weight by n' / 2^j < 2. So only the rows from k up to the one below
-    it are counted (none for the enumeration's +2^t step), the beads taken
-    once modulo the finest of them.
-
-    At a row j >= k the bead leaves a class x and enters a class y, and
-    only their pairs change weight: a pair of classes r and r + 2^j holding
-    a and c beads is one entry of the row, with a even and c odd beads on
-    its 2-abacus, and weighs T(a - c), the size of that entry's 2-core,
-    with T(d) = d(d-1)/2. So leaving x adds
-    cnt[x ^ 2^j] - cnt[x] + [x even], entering y adds
-    cnt[y] - cnt[y ^ 2^j] + [y odd], and at j = k, where x and y share one
-    pair, the second step sees the first and adds 1 more. So a candidate
-    costs O(1) per row. The caller vouches for oddness: an even beta-set
-    gives meaningless slides.
+    place, so a slide up may leave the tuple out of order. A slide is kept
+    when its bead mask peels at size n + step (:func:`_peels`). A step above
+    n needs no peel: it is then the top digit of n + step, and by (i) every
+    such hook addition to an odd partition is odd. That case alone relies
+    on the oddness of ``beta``, which the caller vouches for.
     """
-    k = abs(step).bit_length() - 1
-    top = max(n + step, 0).bit_length() - 1
-    # Row k's starting weight carries the extra 1 of a slide within one pair.
-    checks = [
-        (cnt, 1 << j, (2 << j) - 1, ((n >> j) & 1) + (j == k))
-        for j, cnt in enumerate(_residue_counts(beta, top, k), k)
-    ]
-    occupied = set(beta)
+    x = sum(1 << b for b in beta)
+    size = n + step
     slides = []
     for i, b in enumerate(beta):
         c = b + step
-        if c < 0 or c in occupied:
-            continue
-        for cnt, half, mask, weight in checks:
-            x = b & mask
-            y = c & mask
-            weight += cnt[x ^ half] - cnt[x] + cnt[y] - cnt[y ^ half] + (x < half) + (y >= half)
-            if weight > 1:
-                break
-        else:
+        if c >= 0 and not x >> c & 1 and (step > n or _peels(x ^ (1 << b) ^ (1 << c), size)):
             slides.append(beta[:i] + (c,) + beta[i + 1 :])
     return slides
 
@@ -169,10 +116,12 @@ def _odd_additions(mu: Partition, n: int, k: int) -> list[Partition]:
 
     Adding a 2^k-hook slides one bead b up to a free b + 2^k; a beta-set
     padded by 2^k beads holds every such slide, including those that
-    lengthen the first column. The caller vouches for the oddness of ``mu``
-    (see :func:`_known_odd_slides`). An odd partition of n built this way
-    has ``mu`` as its only odd 2^k-removal, so the additions are exactly
-    the fiber of ``mu`` under the removal map f_k.
+    lengthen the first column. Each slide is kept when it peels, except at
+    the top digit of n, where every slide of an odd ``mu`` is odd and the
+    caller vouches for the oddness of ``mu`` (see :func:`_known_odd_slides`).
+    An odd partition of n built this way has ``mu`` as its only odd
+    2^k-removal, so the additions are exactly the fiber of ``mu`` under the
+    removal map f_k.
     """
     step = 1 << k
     slides = _known_odd_slides(beta_set(mu, len(mu) + step), n - step, step)
@@ -183,7 +132,7 @@ def is_odd(lam: Partition) -> bool:
     """True iff the character labelled by ``lam`` has odd degree.
 
     The binary digits 2^t of the size are peeled off as 2^t-hooks, top
-    first (:func:`_is_odd_beta`): ``lam`` is odd iff every digit comes off.
+    first (:func:`_peels`): ``lam`` is odd iff every digit comes off.
     The empty partition counts as odd.
     """
     return _is_odd_beta(beta_set(lam))

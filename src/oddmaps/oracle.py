@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Any, Iterator
 
 from .partition import Partition, _trusted_partition, partitions_of
 
@@ -48,7 +48,7 @@ class Mismatch(namedtuple("Mismatch", "lam k expected got")):
     """One disagreement between the oracle and the implementation.
 
     Fields: ``lam: Partition``, ``k: int | None`` (None for the oddness
-    check), ``expected: Any``, ``got: Any``.
+    check), ``expected: object``, ``got: object``.
     """
 
     __slots__ = ()
@@ -234,11 +234,11 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
         # One walk per lam serves every k.
         for k, frontier in enumerate(_frontiers(lam.parts, k_max)):
             try:
-                expected_mu: Any = _odd_constituent(lam, k, frontier)
+                expected_mu: object = _odd_constituent(lam, k, frontier)
             except RuntimeError as exc:
                 expected_mu = f"oracle failure: {exc}"
             try:
-                got_mu: Any = remove_odd_hook(lam, k)
+                got_mu: object = remove_odd_hook(lam, k)
             except Exception as exc:
                 got_mu = f"error: {exc}"
             checks += 1

@@ -10,9 +10,9 @@ bead down by L. Character degrees are never materialized: only their
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import cached_property, total_ordering
 from operator import add, index, sub
-from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",

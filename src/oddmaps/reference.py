@@ -26,7 +26,7 @@ all of them.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable
+from collections.abc import Iterable
 
 from .oddity import is_odd
 from .partition import Partition, beta_set, partition_from_beta, partitions_of

@@ -6,7 +6,7 @@ import random
 from typing import Iterator
 
 from oddmaps import CommuteInstance, Partition, fiber
-from oddmaps.oddity import _is_odd_beta
+from oddmaps.partition import _nu2_degree_parts, partition_from_beta
 
 
 def random_partition(rng: random.Random, max_size: int) -> Partition:
@@ -35,16 +35,16 @@ def commute_instances(n_max: int) -> Iterator[CommuteInstance]:
 
 def slides_by_recount(beta: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
     """Every slide of one bead of ``beta`` by ``step`` to a free position
-    that stays odd, each moved tuple tested from scratch by the digit peel
-    of ``_is_odd_beta``: hook removals, not the row-weight updates of the
-    slide scan it is compared with."""
+    that stays odd, each moved tuple tested from scratch by Frobenius's
+    degree formula, which shares no code with the digit peel of the slide
+    scan it is compared with."""
     occupied = set(beta)
     moved = (
         beta[:i] + (b + step,) + beta[i + 1 :]
         for i, b in enumerate(beta)
         if b + step >= 0 and b + step not in occupied
     )
-    return [m for m in moved if _is_odd_beta(m)]
+    return [m for m in moved if _nu2_degree_parts(partition_from_beta(m).parts) == 0]
 
 
 def odd_by_fiber_walk(rng: random.Random, n: int) -> Partition:

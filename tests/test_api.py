@@ -87,7 +87,13 @@ def test_production_never_imports_the_reference_routes():
 def test_cold_import_loads_no_process_pool_and_no_dataclasses():
     # A fresh interpreter, so that nothing pytest loaded counts.
     src = str(Path(oddmaps.__file__).resolve().parents[1])
-    unwanted = ("concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
+    unwanted = (
+        "concurrent.futures.process",
+        "multiprocessing",
+        "dataclasses",
+        "inspect",
+        "typing",
+    )
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import oddmaps, oddmaps.cli; "
         f"print([m for m in {unwanted!r} if m in sys.modules])"

@@ -58,9 +58,9 @@ def test_is_odd_matches_core_tower():
 
 
 def test_odd_slides_match_a_full_recount():
-    # Odd bases, padded or not, sliding up and down. The scan leaves the
-    # target's top tower row unchecked; every slide it returns, in order,
-    # is still one a full recount calls odd.
+    # Odd bases, padded or not, sliding up and down. The scan peels no
+    # slide by the target's top digit; every slide it returns, in order,
+    # is still one the degree formula calls odd.
     for n in range(19):
         for lam in odd_partitions(n):
             for padding in range(4):
@@ -72,7 +72,8 @@ def test_odd_slides_match_a_full_recount():
 
 
 def test_odd_row_weights_are_the_binary_digits_of_n():
-    # The fact the known-odd scan relies on, one row past n's top digit too.
+    # An odd partition's tower row weights are the binary digits of n, one
+    # row past n's top digit too.
     for n in range(31):
         rows = n.bit_length() + 1
         digits = [(n >> j) & 1 for j in range(rows)]
@@ -167,6 +168,12 @@ def test_unique_top_hook():
             hooks = hooks_of_length(lam, top)
             assert len(hooks) == 1
             assert is_odd(remove_hook(lam, hooks[0]))
+    # Odd or even, no partition has two 2^t-hooks: one XOR of the peel
+    # moves exactly one bead.
+    for n in range(1, 21):
+        top = 1 << (n.bit_length() - 1)
+        for lam in partitions_of(n):
+            assert len(hooks_of_length(lam, top)) <= 1, lam
 
 
 def test_construction_count():

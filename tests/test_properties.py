@@ -1,7 +1,7 @@
 """Property tests across representations: partitions and beta-sets, the
 abacus oddness count against the core tower and the degree valuation, the
-bead-slide map against hook enumeration, the per-slide weight updates
-against a full recount, and the known-odd slides against the full count."""
+bead-slide map against hook enumeration, and the slide scan against a
+recount of every slide by the degree formula."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
