@@ -17,10 +17,13 @@ text, its input flags, the value ``ODDMAPS_MAX_N`` caps and a function from
 the parsed arguments to one record, a dict of plain values and partitions.
 ``main`` alone applies the cap, renders the record as text (the default),
 ``--format json`` or ``--format csv`` (the record's keys are the JSON keys)
-and sets the exit code: 0 on success, 1 when a verify sweep found
-mismatches, 2 on usage errors (including ``verify --jobs`` below 1) and when
-``--out`` cannot be written, 3 when an internal invariant check failed (the
-error and the command line that reproduces it go to stderr).
+and sets the exit code. The JSON layout is fixed: two-space indent, each
+partition as its list of parts, byte-identical to ``json.dumps(record,
+indent=2)`` with each partition replaced by its parts. Exit codes: 0 on
+success, 1 when a verify sweep found mismatches, 2 on usage errors
+(including ``verify --jobs`` below 1) and when ``--out`` cannot be written,
+3 when an internal invariant check failed (the error and the command line
+that reproduces it go to stderr).
 Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 ``[]`` is the empty partition. ``ODDMAPS_MAX_N`` (default 40) caps ``n`` for
 ``odd-list``, ``fk``, ``fiber``, ``image``, ``commute`` and ``witness``, the
@@ -40,11 +43,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import shlex
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 
 from .maps import (
@@ -243,14 +246,50 @@ _COMMANDS = {
 }
 
 
+def _json(value: object, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, each partition
+    as its list of parts; ``newline`` is the line break and indent before
+    ``value``'s closing bracket.
+
+    Records hold dicts with string keys, lists, tuples, partitions, ints,
+    bools, None and strings. The standard encoder runs in pure Python once
+    ``indent`` is set and calls a ``default`` for every partition; this
+    writer joins each partition's parts in one call.
+    """
+    inner = newline + "  "
+    if isinstance(value, Partition):
+        if not value.parts:
+            return "[]"
+        return "[" + inner + ("," + inner).join(map(str, value.parts)) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_str(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"no JSON layout for {type(value).__name__}")
+
+
 def _emit(args: argparse.Namespace, record: dict[str, object], command: _Command) -> None:
     """Render a command's record in the requested format and write it out.
 
-    JSON writes each partition as its list of parts; text and CSV follow the
-    command's layouts.
+    JSON (:func:`_json`) writes each partition as its list of parts; text
+    and CSV follow the command's layouts.
     """
     if args.format == "json":
-        rendered = json.dumps(record, indent=2, default=lambda p: list(p.parts))
+        rendered = _json(record)
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(command.rows(record))

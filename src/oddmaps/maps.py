@@ -38,9 +38,11 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .oddity import (
-    _is_odd_beta,
+    _PARTS,
+    _bead_mask,
     _known_odd_slides,
     _odd_additions,
+    _peels,
     d_good,
     dnk,
     is_odd,
@@ -131,23 +133,27 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     Accepts 2^k equal to the size of ``lam`` (the result is then empty), so
     that compositions with 2^k + 2^l = n stay inside the domain. Each
     2^k-hook is a slide of a bead b to a free position b - 2^k; exactly one
-    slide may leave an odd partition. The digit peel of
-    :func:`_is_odd_beta` decides the oddness of ``lam``, and the slide scan
-    :func:`_known_odd_slides` keeps the one slide whose result peels.
+    slide may leave an odd partition. The digit peel :func:`_peels` of the
+    bead mask of ``lam`` decides its oddness, and the slide scan
+    :func:`_known_odd_slides` reuses that mask to keep the one slide whose
+    result peels.
     """
     beta = beta_set(lam)
-    if not _is_odd_beta(beta):
+    x = _bead_mask(beta)
+    if not _peels(x, lam.size):
         raise ValueError("the map is defined for odd partitions")
     # 2^k is built only once k is in range.
     if not 0 <= k < lam.size.bit_length():
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
-    return _only_removal(lam, k, beta)
+    return _only_removal(lam, k, beta, x)
 
 
-def _only_removal(lam: Partition, k: int, beta: tuple[int, ...]) -> Partition:
+def _only_removal(
+    lam: Partition, k: int, beta: tuple[int, ...], x: int | None = None
+) -> Partition:
     """The one odd 2^k-hook removal of ``lam``, an odd partition with
-    beta-set ``beta``."""
-    slides = _known_odd_slides(beta, lam.size, -(1 << k))
+    beta-set ``beta`` and, when the caller has built it, bead mask ``x``."""
+    slides = _known_odd_slides(beta, lam.size, -(1 << k), x)
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
@@ -184,7 +190,7 @@ def fiber(mu: Partition, n: int, k: int) -> Fiber:
     the cost is per instance and no level of n is built.
     """
     _check_fiber_args(mu, n, k)
-    members = tuple(sorted(_odd_additions(mu, n, k), reverse=True))
+    members = tuple(sorted(_odd_additions(mu, n, k), key=_PARTS, reverse=True))
     return Fiber(mu=mu, n=n, k=k, members=members)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import attrgetter
 
 from .partition import Partition, _partition_from_slid_beads, beta_set, is_hook_partition, nu2
 from .quotient import e_core
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 _EMPTY = Partition(())
+
+# Sorting on the parts orders partitions as ``Partition.__lt__`` does, with
+# the comparisons in C.
+_PARTS = attrgetter("parts")
 
 
 class DnkDecomposition(namedtuple("DnkDecomposition", "n k d m")):
@@ -82,14 +87,14 @@ def _peels(x: int, n: int) -> bool:
     return True
 
 
-def _is_odd_beta(beta: tuple[int, ...]) -> bool:
-    """Oddness of the partition with beta-set ``beta``: the peel
-    (:func:`_peels`) of its bead mask."""
-    s = len(beta)
-    return _peels(sum(1 << b for b in beta), sum(beta) - s * (s - 1) // 2)
+def _bead_mask(beta: tuple[int, ...]) -> int:
+    """The int whose set bits are the beads of ``beta``."""
+    return sum(1 << b for b in beta)
 
 
-def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[int, ...]]:
+def _known_odd_slides(
+    beta: tuple[int, ...], n: int, step: int, x: int | None = None
+) -> list[tuple[int, ...]]:
     """Every beta-set reached from ``beta``, a beta-set of an odd partition
     of n, by sliding one bead b to a free position b + step >= 0 whose
     partition is odd.
@@ -99,9 +104,12 @@ def _known_odd_slides(beta: tuple[int, ...], n: int, step: int) -> list[tuple[in
     when its bead mask peels at size n + step (:func:`_peels`). A step above
     n needs no peel: it is then the top digit of n + step, and by (i) every
     such hook addition to an odd partition is odd. That case alone relies
-    on the oddness of ``beta``, which the caller vouches for.
+    on the oddness of ``beta``, which the caller vouches for. A caller that
+    has built the bead mask of ``beta`` (:func:`_bead_mask`) passes it as
+    ``x``.
     """
-    x = sum(1 << b for b in beta)
+    if x is None:
+        x = _bead_mask(beta)
     size = n + step
     slides = []
     for i, b in enumerate(beta):
@@ -135,7 +143,7 @@ def is_odd(lam: Partition) -> bool:
     first (:func:`_peels`): ``lam`` is odd iff every digit comes off.
     The empty partition counts as odd.
     """
-    return _is_odd_beta(beta_set(lam))
+    return _peels(_bead_mask(beta_set(lam)), lam.size)
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +169,7 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
                 f"{mu} has {len(additions)} odd 2^{t}-hook additions, expected {step}"
             )
         found.extend(additions)
-    return tuple(sorted(found, reverse=True))
+    return tuple(sorted(found, key=_PARTS, reverse=True))
 
 
 def d_good(lam: Partition, d: int) -> bool:

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import random_partition, recording_executor
 from oddmaps import Partition, k_data
-from oddmaps.cli import main, parse_partition_text, render_kdata
+from oddmaps.cli import _COMMANDS, _PARSER, _json, main, parse_partition_text, render_kdata
 from oddmaps.oracle import Mismatch, ParityReport
 
 P = Partition
@@ -244,6 +244,75 @@ def test_golden_output(capsys, argv, expected):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def _record(*argv):
+    args = _PARSER.parse_args(list(argv))
+    return _COMMANDS[args.command].record(args)
+
+
+def _json_dumps(record):
+    return json.dumps(record, indent=2, default=lambda p: list(p.parts))
+
+
+# Every command at a small n, with empty partitions in odd-list, fk and
+# tower, an empty members tuple, both booleans and a None witness.
+RECORDS = [
+    ("odd-list", "--n", "0"),
+    ("odd-list", "--n", "6"),
+    ("fk", "--n", "15", "--k", "2", "--lambda", "[5,4,2,2,1,1]"),
+    ("fk", "--n", "1", "--k", "0", "--lambda", "[1]"),
+    ("fiber", "--n", "6", "--k", "2", "--mu", "[2]"),
+    ("image", "--n", "8", "--k", "0"),
+    ("image", "--n", "6", "--k", "2"),
+    ("surjective", "--n", "8", "--k", "0"),
+    ("surjective", "--n", "12", "--k", "0"),
+    ("commute", "--n", "6", "--k", "0", "--l", "1"),
+    ("commute", "--n", "12", "--k", "1", "--l", "2"),
+    ("witness", "--n", "13", "--k", "0", "--l", "2"),
+    ("tower", "--lambda", "[5,4,2,2,1,1]", "--k", "2"),
+    ("tower", "--lambda", "[]", "--k", "1"),
+    ("verify", "--max-n", "8"),
+]
+
+
+@pytest.mark.parametrize("argv", RECORDS, ids=" ".join)
+def test_json_writer_matches_json_dumps(argv):
+    record = _record(*argv)
+    assert _json(record) == _json_dumps(record)
+
+
+def test_json_writer_on_empty_values_and_nested_tuples():
+    empty = P(())
+    tower = _record("tower", "--lambda", "[3,2,2,2,1,1]", "--k", "2")
+    assert any(p == empty for row in tower["result"] for p in row)
+    for record in (
+        {"lambda": empty},
+        {"members": (), "size": 0},
+        {"members": (empty,)},
+        {},
+        tower,
+        {"rows": ((), (empty,), [P((2, 1)), empty])},
+    ):
+        assert _json(record) == _json_dumps(record), record
+
+
+def test_json_writer_escapes_strings_as_json_does(monkeypatch):
+    text = 'A "Quoted" back\\slash,\nnewline, tab\t, caf\u00e9 \u221e \U0001d11e \x7f'
+    fake = ParityReport(
+        n_max=4,
+        checks_run=2,
+        mismatches=(
+            Mismatch(lam=P((2, 1)), k=None, expected=text, got=P((1, 1))),
+            Mismatch(lam=P(()), k=0, expected="", got=text[::-1]),
+        ),
+    )
+    monkeypatch.setattr("oddmaps.cli.cross_validate", lambda n, jobs=1: fake)
+    record = _record("verify", "--max-n", "4")
+    assert record["report"]["mismatches"][0]["expected"] == text
+    assert _json(record) == _json_dumps(record)
+    with pytest.raises(TypeError):
+        _json({"x": 1.5})
 
 
 def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
