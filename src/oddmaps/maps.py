@@ -3,10 +3,12 @@
 An odd partition of n has exactly one hook of length 2^k whose removal
 leaves an odd partition; removing it is the restriction map down to
 n - 2^k. Production code computes it with one route on the abacus:
-removing a 2^k-hook slides one bead of the beta-set down by 2^k. The map
-decides oddness by peeling n's binary digits off as such slides, top
-first, and then keeps the one slide by 2^k whose result peels too: the
-same peel tests the partition and each of its candidate slides.
+removing a 2^k-hook slides one bead down by 2^k, one XOR on the bead mask
+of the partition. The map encodes the mask once, decides oddness by
+peeling n's binary digits off as such slides, top first, and then keeps
+the one slide by 2^k whose result peels too: the same peel tests the
+partition and each of its candidate slides, and the kept mask is decoded
+into the image.
 A fiber needs no level: an odd partition of n made from an odd mu by
 adding a 2^k-hook has mu as its only odd 2^k-removal, so :func:`fiber`
 reads mu's odd 2^k-hook additions, the upward slide scan that also
@@ -15,8 +17,8 @@ table of images per (n, k), built once from the route over every odd
 partition of n: :func:`image_misses` lists the partitions no image
 reaches, and :func:`commute_verdict` composes four tables. Every
 partition of a level comes from the enumeration, so the tables skip the
-oddness test and go straight to the removal, and each image is built
-without re-checking the slid beads.
+oddness test and go straight to the removal, and each image is decoded
+without re-checking its parts.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -39,7 +41,6 @@ from functools import lru_cache
 
 from .oddity import (
     _PARTS,
-    _bead_mask,
     _known_odd_slides,
     _odd_additions,
     _peels,
@@ -48,7 +49,7 @@ from .oddity import (
     is_odd,
     odd_partitions,
 )
-from .partition import Partition, _partition_from_slid_beads, beta_set
+from .partition import Partition, _bead_mask, _partition_from_mask
 from .quotient import e_quotient, from_core_quotient
 
 __all__ = [
@@ -138,27 +139,24 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     :func:`_known_odd_slides` reuses that mask to keep the one slide whose
     result peels.
     """
-    beta = beta_set(lam)
-    x = _bead_mask(beta)
+    x = _bead_mask(lam)
     if not _peels(x, lam.size):
         raise ValueError("the map is defined for odd partitions")
     # 2^k is built only once k is in range.
     if not 0 <= k < lam.size.bit_length():
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
-    return _only_removal(lam, k, beta, x)
+    return _only_removal(lam, k, x)
 
 
-def _only_removal(
-    lam: Partition, k: int, beta: tuple[int, ...], x: int | None = None
-) -> Partition:
-    """The one odd 2^k-hook removal of ``lam``, an odd partition with
-    beta-set ``beta`` and, when the caller has built it, bead mask ``x``."""
-    slides = _known_odd_slides(beta, lam.size, -(1 << k), x)
+def _only_removal(lam: Partition, k: int, x: int) -> Partition:
+    """The one odd 2^k-hook removal of ``lam``, an odd partition with bead
+    mask ``x``."""
+    slides = _known_odd_slides(x, lam.size, -(1 << k))
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
         )
-    return _partition_from_slid_beads(slides[0])
+    return _partition_from_mask(slides[0])
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +168,7 @@ def _images(n: int, k: int) -> dict[Partition, Partition]:
     each goes straight to the removal :func:`remove_odd_hook` makes once it
     has decided oddness.
     """
-    return {lam: _only_removal(lam, k, beta_set(lam)) for lam in odd_partitions(n)}
+    return {lam: _only_removal(lam, k, _bead_mask(lam)) for lam in odd_partitions(n)}
 
 
 def _check_fiber_args(mu: Partition, n: int, k: int) -> None:
@@ -186,7 +184,7 @@ def fiber(mu: Partition, n: int, k: int) -> Fiber:
     """The odd partitions of n mapping to ``mu``, descending lexicographic.
 
     They are the odd 2^k-hook additions to ``mu``: each has ``mu`` as its
-    only odd 2^k-removal. Read from one slide scan of ``mu``'s beta-set, so
+    only odd 2^k-removal. Read from one slide scan of ``mu``'s bead mask, so
     the cost is per instance and no level of n is built.
     """
     _check_fiber_args(mu, n, k)
@@ -199,7 +197,8 @@ def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
     quotient row k of ``mu`` holds a d-good partition, else 0.
 
     The question ignores the order of the row, so the row is read from the
-    2^k-quotient of ``mu`` in one beta-set pass, not by walking the tower.
+    2^k-quotient of ``mu`` in one pass over its runners, not by walking the
+    tower.
     """
     _check_fiber_args(mu, n, k)
     d = dnk(n, k).d

@@ -9,11 +9,14 @@ with no tower built and no weight counted (:func:`_peels`). The tests
 compare the peel with Frobenius's degree formula and with the core tower
 of ``reference``.
 
-The peel is the one oddness kernel. Hook additions and removals of length
-2^k are bead slides by 2^k, and :func:`_known_odd_slides`, the one slide
-scan, keeps each slide whose bead mask peels. The map of ``maps`` decides
-oddness once and then reads its slide from this scan, as do the
-enumeration, the fibers and the level tables.
+The peel is the one oddness kernel. It runs on bead masks, the one bead
+format of ``partition``: ints whose set bits are the beads. Hook additions
+and removals of length 2^k are bead slides by 2^k, and
+:func:`_known_odd_slides`, the one slide scan, marks every free target of
+a mask with one shift and keeps each slide whose mask peels. The scan
+takes and returns masks; a partition is decoded only from a slide that is
+kept. The map of ``maps`` decides oddness once and then reads its slide
+from this scan, as do the enumeration, the fibers and the level tables.
 
 The enumeration is the peel run forwards. With 2^t the top digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an
@@ -31,7 +34,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import attrgetter
 
-from .partition import Partition, _partition_from_slid_beads, beta_set, is_hook_partition, nu2
+from .partition import Partition, _bead_mask, _partition_from_mask, is_hook_partition, nu2
 from .quotient import e_core
 
 __all__ = [
@@ -87,42 +90,36 @@ def _peels(x: int, n: int) -> bool:
     return True
 
 
-def _bead_mask(beta: tuple[int, ...]) -> int:
-    """The int whose set bits are the beads of ``beta``."""
-    return sum(1 << b for b in beta)
-
-
-def _known_odd_slides(
-    beta: tuple[int, ...], n: int, step: int, x: int | None = None
-) -> list[tuple[int, ...]]:
-    """Every beta-set reached from ``beta``, a beta-set of an odd partition
+def _known_odd_slides(x: int, n: int, step: int) -> list[int]:
+    """Every bead mask reached from ``x``, the bead mask of an odd partition
     of n, by sliding one bead b to a free position b + step >= 0 whose
     partition is odd.
 
-    A step of -2^k removes a 2^k-hook and +2^k adds one; beads move in
-    place, so a slide up may leave the tuple out of order. A slide is kept
-    when its bead mask peels at size n + step (:func:`_peels`). A step above
-    n needs no peel: it is then the top digit of n + step, and by (i) every
-    such hook addition to an odd partition is odd. That case alone relies
-    on the oddness of ``beta``, which the caller vouches for. A caller that
-    has built the bead mask of ``beta`` (:func:`_bead_mask`) passes it as
-    ``x``.
+    A step of -2^k removes a 2^k-hook and +2^k adds one. Shifting ``x`` by
+    the step and masking out the beads marks every free target at once, in
+    one int; a slide is kept when its mask peels at size n + step
+    (:func:`_peels`). A step above n needs no peel: it is then the top
+    digit of n + step, and by (i) every such hook addition to an odd
+    partition is odd. That case alone relies on the oddness of ``x``, which
+    the caller vouches for. The slides come in increasing target order.
     """
-    if x is None:
-        x = _bead_mask(beta)
     size = n + step
+    targets = (x << step if step > 0 else x >> -step) & ~x
     slides = []
-    for i, b in enumerate(beta):
-        c = b + step
-        if c >= 0 and not x >> c & 1 and (step > n or _peels(x ^ (1 << b) ^ (1 << c), size)):
-            slides.append(beta[:i] + (c,) + beta[i + 1 :])
+    while targets:
+        low = targets & -targets
+        targets ^= low
+        c = low.bit_length() - 1
+        y = x ^ low ^ (1 << (c - step))
+        if step > n or _peels(y, size):
+            slides.append(y)
     return slides
 
 
 def _odd_additions(mu: Partition, n: int, k: int) -> list[Partition]:
     """The odd 2^k-hook additions to ``mu``, an odd partition of n - 2^k.
 
-    Adding a 2^k-hook slides one bead b up to a free b + 2^k; a beta-set
+    Adding a 2^k-hook slides one bead b up to a free b + 2^k; a bead mask
     padded by 2^k beads holds every such slide, including those that
     lengthen the first column. Each slide is kept when it peels, except at
     the top digit of n, where every slide of an odd ``mu`` is odd and the
@@ -132,8 +129,8 @@ def _odd_additions(mu: Partition, n: int, k: int) -> list[Partition]:
     removal map f_k.
     """
     step = 1 << k
-    slides = _known_odd_slides(beta_set(mu, len(mu) + step), n - step, step)
-    return list(map(_partition_from_slid_beads, slides))
+    slides = _known_odd_slides(_bead_mask(mu, step), n - step, step)
+    return list(map(_partition_from_mask, slides))
 
 
 def is_odd(lam: Partition) -> bool:
@@ -143,7 +140,7 @@ def is_odd(lam: Partition) -> bool:
     first (:func:`_peels`): ``lam`` is odd iff every digit comes off.
     The empty partition counts as odd.
     """
-    return _peels(_bead_mask(beta_set(lam)), lam.size)
+    return _peels(_bead_mask(lam), lam.size)
 
 
 @lru_cache(maxsize=None)

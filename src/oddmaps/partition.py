@@ -2,17 +2,22 @@
 
 Partitions are weakly decreasing tuples of positive integers; the empty
 partition is a first-class value. A beta-set holds the first-column hook
-lengths (beta numbers), the beads of the abacus that the quotient, oddness
-and map modules compute on; removing a rim hook of length L slides one
-bead down by L. Character degrees are never materialized: only their
-2-adic valuations are computed, via Frobenius's formula on beta numbers.
+lengths (beta numbers), the beads of the abacus; removing a rim hook of
+length L slides one bead down by L. The quotient, oddness and map modules
+compute on one bead format, the bead mask: the int whose set bits are the
+beads, which :func:`_bead_mask` encodes from a partition and
+:func:`_partition_from_mask` decodes back, so a slide is one XOR and a
+partition is built once, at the end. Character degrees are never
+materialized: only their 2-adic valuations are computed, via Frobenius's
+formula on beta numbers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property, total_ordering
-from operator import add, index, sub
+from itertools import accumulate
+from operator import add, index
 
 __all__ = [
     "Partition",
@@ -115,7 +120,7 @@ def partition_from_beta(beta: Iterable[int]) -> Partition:
         raise ValueError("beta numbers must be non-negative")
     if len(set(beta)) != len(beta):
         raise ValueError("beta numbers must be distinct")
-    return _partition_from_slid_beads(beta)
+    return _partition_from_mask(sum(1 << b for b in beta))
 
 
 def _trusted_partition(parts: tuple[int, ...]) -> Partition:
@@ -127,19 +132,27 @@ def _trusted_partition(parts: tuple[int, ...]) -> Partition:
     return lam
 
 
-def _partition_from_slid_beads(beads: Iterable[int]) -> Partition:
-    """The partition of ``beads``, any distinct non-negative beads: a
-    beta-set with one bead slid to a free position, the quotient digits of
-    one residue class, the pushed-up beads of a core, or the beads
-    :func:`partition_from_beta` has checked.
+def _bead_mask(lam: Partition, pad: int = 0) -> int:
+    """The bead mask of ``beta_set(lam, len(lam) + pad)``: the int whose
+    bit b is set iff b is a bead. Padding shifts every bead up by ``pad``
+    and fills the ``pad`` low bits."""
+    beads = map(add, lam.parts, range(len(lam.parts) - 1, -1, -1))
+    return sum(map((1).__lshift__, beads)) << pad | ((1 << pad) - 1)
 
-    It sorts the beads and builds the :class:`Partition` without checking
-    the parts: sorted distinct beads always give weakly decreasing positive
-    ones.
+
+def _partition_from_mask(x: int) -> Partition:
+    """The partition of the bead mask ``x``, with any padding.
+
+    A bead's part is the number of free positions below it. The padding is
+    the low run of set bits, whose parts are 0, so it is dropped first;
+    read from the lowest bit, the gaps between the remaining beads then
+    sum to the parts, which come out positive and increasing.
     """
-    beta = sorted(beads, reverse=True)
-    s = len(beta)
-    return _trusted_partition(tuple(p for p in map(sub, beta, range(s - 1, -1, -1)) if p > 0))
+    if not x & (x + 1):
+        # All padding, as on most runners of a large e: the empty partition.
+        return _trusted_partition(())
+    gaps = bin(x).rstrip("1")[:1:-1].split("1")[:-1]
+    return _trusted_partition(tuple(accumulate(map(len, gaps)))[::-1])
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:

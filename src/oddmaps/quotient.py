@@ -7,6 +7,11 @@ way that leaves both core and quotient unchanged, so the decomposition is
 well defined. A regression test pins the convention against a worked
 6-part example, including the order of the second tower row.
 
+The beads are held as bead masks (see ``partition``). Residue class r is
+runner r of the e-runner abacus, itself a bead mask whose bit j is bead
+e*j + r: quotient component r is the partition of that mask, and the core
+keeps each runner's bead count, pushed up.
+
 Towers iterate the e = 2 decomposition: row k of the quotient tower holds
 2^k partitions, obtained by replacing each entry of row k-1 with its
 2-quotient pair; the core tower records the 2-cores of those entries.
@@ -15,7 +20,7 @@ abacus fact of James and Kerber), so a question that ignores the order
 reads row k from one ``e_quotient(lam, 2**k)`` pass. Only the k-data
 tables, which the ``tower`` command prints, need the order; they walk
 the tower level by level. Production code never builds a whole tower:
-oddness and the removal map work on bead slides of a beta-set. The full
+oddness and the removal map work on bead slides of a bead mask. The full
 core tower and the rebuild of a partition from its k-data are kept in
 ``reference``, where the tests check those slides against them.
 """
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .partition import Partition, _partition_from_slid_beads, beta_set, partition_from_beta
+from .partition import Partition, _bead_mask, _partition_from_mask
 
 __all__ = [
     "CoreQuotient",
@@ -62,40 +67,42 @@ class KData(namedtuple("KData", "k core_rows quotient_row")):
     __slots__ = ()
 
 
-def _residue_classes(beta: tuple[int, ...], e: int) -> list[list[int]]:
-    """Quotient digits of the beta numbers, bucketed by residue, each decreasing."""
-    classes: list[list[int]] = [[] for _ in range(e)]
-    for x in beta:
-        classes[x % e].append(x // e)
-    return classes
+def _runners(x: int, e: int) -> list[int]:
+    """The e runners of the abacus of the bead mask ``x``, each a bead mask:
+    bit j of runner r is bead e*j + r."""
+    digits = bin(x)[:1:-1]  # the lowest bit first
+    return [int(digits[r::e][::-1] or "0", 2) for r in range(e)]
+
+
+def _from_runners(runners: list[int], e: int) -> Partition:
+    """The partition whose e-runner abacus holds the bead masks ``runners``:
+    the inverse of :func:`_runners`."""
+    width = max(r.bit_length() for r in runners)
+    columns = zip(*(format(r, f"0{width}b")[::-1] for r in runners))
+    return _partition_from_mask(int("".join(map("".join, columns))[::-1], 2))
 
 
 def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
-    """The e-core and e-quotient of ``lam`` in one beta-set pass."""
+    """The e-core and e-quotient of ``lam`` in one pass over its runners."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    s = -(-len(lam) // e) * e
-    classes = _residue_classes(beta_set(lam, s), e)
-    quotient = tuple(map(_partition_from_slid_beads, classes))
-    return CoreQuotient(e=e, core=_pushed_up([len(c) for c in classes], e), quotient=quotient)
+    runners = _runners(_bead_mask(lam, -len(lam) % e), e)
+    core = _pushed_up([r.bit_count() for r in runners], e)
+    return CoreQuotient(e=e, core=core, quotient=tuple(map(_partition_from_mask, runners)))
 
 
 def _pushed_up(counts: list[int], e: int) -> Partition:
     """The e-core whose abacus holds counts[r] beads on runner r, all pushed up."""
-    return _partition_from_slid_beads(r + e * j for r, c in enumerate(counts) for j in range(c))
+    # Runner r holds beads r, r + e, ..., r + e*(c - 1): the set bits of
+    # (2^(e*c) - 1) / (2^e - 1), shifted up by r.
+    ones = (1 << e) - 1
+    return _partition_from_mask(sum(((1 << e * c) - 1) // ones << r for r, c in enumerate(counts)))
 
 
 def e_core(lam: Partition, e: int) -> Partition:
-    """The partition left after all hooks of length e are removed.
-
-    Only the number of beads on each runner matters, so no quotient is built.
-    """
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    counts = [0] * e
-    for x in beta_set(lam, -(-len(lam) // e) * e):
-        counts[x % e] += 1
-    return _pushed_up(counts, e)
+    """The partition left after all hooks of length e are removed: the core
+    of :func:`core_and_quotient`."""
+    return core_and_quotient(lam, e).core
 
 
 def e_quotient(lam: Partition, e: int) -> tuple[Partition, ...]:
@@ -113,21 +120,13 @@ def from_core_quotient(
     if len(quotient) != e:
         raise ValueError(f"quotient must have exactly {e} components")
     # An e-core has no e-hook: no bead b >= e with b - e free.
-    beads = set(beta_set(core))
-    if any(b >= e and b - e not in beads for b in beads):
+    x = _bead_mask(core)
+    if x >> e & ~x:
         raise ValueError("not an e-core")
-    s = -(-len(core) // e) * e
-    while True:
-        classes = _residue_classes(beta_set(core, s), e)
-        if all(len(c) >= len(q) for c, q in zip(classes, quotient)):
-            break
-        s += e
-    beta = [
-        e * m + r
-        for r, (c, q) in enumerate(zip(classes, quotient))
-        for m in beta_set(q, len(c))
-    ]
-    return partition_from_beta(beta)
+    counts = [r.bit_count() for r in _runners(_bead_mask(core, -len(core) % e), e)]
+    # Padding by e more beads puts one more bead on every runner.
+    extra = max(0, *(len(q) - c for c, q in zip(counts, quotient)))
+    return _from_runners([_bead_mask(q, c + extra - len(q)) for c, q in zip(counts, quotient)], e)
 
 
 def _descend(

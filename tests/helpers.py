@@ -6,7 +6,7 @@ import random
 from typing import Iterator
 
 from oddmaps import CommuteInstance, Partition, fiber
-from oddmaps.partition import _nu2_degree_parts, partition_from_beta
+from oddmaps.partition import _nu2_degree_parts
 
 
 def random_partition(rng: random.Random, max_size: int) -> Partition:
@@ -33,18 +33,25 @@ def commute_instances(n_max: int) -> Iterator[CommuteInstance]:
             l += 1
 
 
-def slides_by_recount(beta: tuple[int, ...], step: int) -> list[tuple[int, ...]]:
-    """Every slide of one bead of ``beta`` by ``step`` to a free position
-    that stays odd, each moved tuple tested from scratch by Frobenius's
-    degree formula, which shares no code with the digit peel of the slide
-    scan it is compared with."""
-    occupied = set(beta)
-    moved = (
-        beta[:i] + (b + step,) + beta[i + 1 :]
-        for i, b in enumerate(beta)
-        if b + step >= 0 and b + step not in occupied
-    )
-    return [m for m in moved if _nu2_degree_parts(partition_from_beta(m).parts) == 0]
+def slides_by_recount(x: int, step: int) -> list[int]:
+    """Every slide of one bead of the bead mask ``x`` by ``step`` to a free
+    position that stays odd, in increasing order. Each moved bead set is
+    turned into parts here and tested from scratch by Frobenius's degree
+    formula, which shares no code with the digit peel of the slide scan it
+    is compared with, nor with the mask decoder."""
+    beads = {b for b in range(x.bit_length()) if x >> b & 1}
+    slides = []
+    for b in beads:
+        c = b + step
+        if c < 0 or c in beads:
+            continue
+        # Read from the lowest, a bead's part is its position less the
+        # beads below it.
+        moved = sorted(beads - {b} | {c})
+        parts = tuple(d - j for j, d in enumerate(moved) if d > j)[::-1]
+        if _nu2_degree_parts(parts) == 0:
+            slides.append(x ^ (1 << b) ^ (1 << c))
+    return sorted(slides)
 
 
 def odd_by_fiber_walk(rng: random.Random, n: int) -> Partition:

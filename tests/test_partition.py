@@ -7,8 +7,9 @@ import pytest
 
 from oddmaps import Partition, nu2_degree, odd_partitions, partitions_of
 from oddmaps.partition import (
+    _bead_mask,
     _nu2_degree_parts,
-    _partition_from_slid_beads,
+    _partition_from_mask,
     beta_set,
     hook_lengths,
     is_hook_partition,
@@ -115,16 +116,16 @@ def test_trusted_build_matches_the_checked_constructor():
         trusted, checked = [], []
         for lam in odd_partitions(n):
             for padding in range(3):
-                # Slid beads arrive out of order; the trusted build sorts them.
-                beads = beta_set(lam, len(lam) + padding)[::-1]
-                got, want = _partition_from_slid_beads(beads), Partition(lam.parts)
-                assert type(got) is Partition and vars(got) == vars(want), beads
+                # The decoder drops any padding: the low run of beads.
+                x = _bead_mask(lam, padding)
+                got, want = _partition_from_mask(x), Partition(lam.parts)
+                assert type(got) is Partition and vars(got) == vars(want), x
                 assert got == want and hash(got) == hash(want)
                 assert repr(got) == repr(want) and str(got) == str(want)
                 assert got.conjugate == want.conjugate
                 assert repr(got.conjugate) == repr(want.conjugate)
                 # verify --jobs pickles partitions across processes.
-                for p in (got, _partition_from_slid_beads(beads)):
+                for p in (got, _partition_from_mask(x)):
                     back = pickle.loads(pickle.dumps(p))
                     assert back == want and vars(back) == vars(p)
             trusted.append(got)

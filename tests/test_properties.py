@@ -3,7 +3,7 @@ abacus oddness count against the core tower and the degree valuation, the
 bead-slide map against hook enumeration, and the slide scan against a
 recount of every slide by the degree formula."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import slides_by_recount
@@ -16,7 +16,7 @@ from oddmaps import (
     remove_odd_hook,
 )
 from oddmaps.oddity import _known_odd_slides
-from oddmaps.partition import beta_set, partition_from_beta
+from oddmaps.partition import _bead_mask, _partition_from_mask, beta_set, partition_from_beta
 from oddmaps.reference import core_tower
 
 # Reproducible draws, and no example database written to the checkout.
@@ -42,8 +42,15 @@ def odd_members(draw, min_size=0, max_size=63):
 
 @reproducible
 @given(partitions(), st.integers(0, 40))
+@example(Partition(()), 0)
+@example(Partition(()), 40)
 def test_beta_set_round_trip(lam, padding):
-    assert partition_from_beta(beta_set(lam, len(lam) + padding)) == lam
+    beta = beta_set(lam, len(lam) + padding)
+    assert partition_from_beta(beta) == lam
+    # The bead mask holds the same beads; the empty partition's masks are
+    # 0 and 2^padding - 1.
+    assert _bead_mask(lam, padding) == sum(1 << b for b in beta)
+    assert _partition_from_mask(_bead_mask(lam, padding)) == lam
 
 
 @reproducible
@@ -65,15 +72,15 @@ def test_remove_odd_hook_matches_hook_enumeration(lam, data):
 @reproducible
 @given(odd_members(), st.integers(0, 3), st.integers(0, 6), st.booleans())
 def test_odd_slides_match_a_full_recount(lam, padding, k, up):
-    beta = beta_set(lam, len(lam) + padding)
+    x = _bead_mask(lam, padding)
     step = 1 << k if up else -(1 << k)
-    assert _known_odd_slides(beta, lam.size, step) == slides_by_recount(beta, step)
+    assert sorted(_known_odd_slides(x, lam.size, step)) == slides_by_recount(x, step)
 
 
 @reproducible
 @given(odd_members(40, 63), st.integers(0, 3), st.data())
 def test_known_odd_slides_match_the_full_count(lam, padding, data):
     k = data.draw(st.integers(0, lam.size.bit_length() - 1))
-    beta = beta_set(lam, len(lam) + padding)
+    x = _bead_mask(lam, padding)
     step = -(1 << k)
-    assert _known_odd_slides(beta, lam.size, step) == slides_by_recount(beta, step)
+    assert sorted(_known_odd_slides(x, lam.size, step)) == slides_by_recount(x, step)
