@@ -13,12 +13,13 @@ A fiber needs no level: an odd partition of n made from an odd mu by
 adding a 2^k-hook has mu as its only odd 2^k-removal, so :func:`fiber`
 reads mu's odd 2^k-hook additions, the upward slide scan that also
 enumerates the odd partitions. Questions about a whole level read one
-table of images per (n, k), built once from the route over every odd
-partition of n: :func:`image_misses` lists the partitions no image
-reaches, and :func:`commute_verdict` composes four tables. Every
+table per (n, k), built once from the route over every odd partition of
+n: for each, in enumeration order, the position of its image in the
+enumeration of n - 2^k. :func:`image_misses` lists the positions no
+image reaches, and :func:`commute_verdict` composes four tables. Every
 partition of a level comes from the enumeration, so the tables skip the
-oddness test and go straight to the removal, and each image is decoded
-without re-checking its parts.
+oddness test and go straight to the removal, and each image is looked up
+by its bead mask, never decoded.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -145,30 +146,35 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     # 2^k is built only once k is in range.
     if not 0 <= k < lam.size.bit_length():
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
-    return _only_removal(lam, k, x)
+    return _partition_from_mask(_only_removal(lam, k, x))
 
 
-def _only_removal(lam: Partition, k: int, x: int) -> Partition:
-    """The one odd 2^k-hook removal of ``lam``, an odd partition with bead
-    mask ``x``."""
+def _only_removal(lam: Partition, k: int, x: int) -> int:
+    """The bead mask of the one odd 2^k-hook removal of ``lam``, an odd
+    partition with bead mask ``x``; it may carry padding."""
     slides = _known_odd_slides(x, lam.size, -(1 << k))
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
         )
-    return _partition_from_mask(slides[0])
+    return slides[0]
 
 
 @lru_cache(maxsize=None)
-def _images(n: int, k: int) -> dict[Partition, Partition]:
-    """f_k on the whole level n: the image of every odd partition of n, in
-    the order of :func:`odd_partitions`.
+def _images(n: int, k: int) -> tuple[int, ...]:
+    """f_k on the whole level n: for each odd partition of n, in the order
+    of :func:`odd_partitions`, the position of its image in
+    ``odd_partitions(n - 2^k)``.
 
     Every partition here comes from :func:`odd_partitions` and so is odd:
     each goes straight to the removal :func:`remove_odd_hook` makes once it
-    has decided oddness.
+    has decided oddness. The slide's mask, with its padding (the low run of
+    set bits) dropped, is the bead mask of the image, and is looked up
+    among the level below's masks, not decoded.
     """
-    return {lam: _only_removal(lam, k, _bead_mask(lam)) for lam in odd_partitions(n)}
+    below = {_bead_mask(mu): i for i, mu in enumerate(odd_partitions(n - (1 << k)))}
+    slides = (_only_removal(lam, k, _bead_mask(lam)) for lam in odd_partitions(n))
+    return tuple(below[y >> ((y + 1) & ~y).bit_length() - 1] for y in slides)
 
 
 def _check_fiber_args(mu: Partition, n: int, k: int) -> None:
@@ -211,12 +217,12 @@ def image_misses(n: int, k: int) -> tuple[Partition, ...]:
     """Odd partitions of n - 2^k with empty fiber, descending lexicographic.
 
     Read from the level table of :func:`_images`: the odd partitions of
-    n - 2^k that are the image of no odd partition of n.
+    n - 2^k at positions that no odd partition of n maps to.
     """
     if n < 1 or k < 0 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")
-    reached = set(_images(n, k).values())
-    return tuple(mu for mu in odd_partitions(n - (1 << k)) if mu not in reached)
+    reached = set(_images(n, k))
+    return tuple(mu for i, mu in enumerate(odd_partitions(n - (1 << k))) if i not in reached)
 
 
 def is_surjective(n: int, k: int, verify: bool = False) -> bool:
@@ -263,15 +269,14 @@ def commute_verdict(inst: CommuteInstance) -> CommuteVerdict:
 
     Both compositions are read from the level tables of :func:`_images`:
     f_l and f_k on n, then f_k on n - 2^l and f_l on n - 2^k, walked in the
-    order of :func:`odd_partitions`.
+    order of :func:`odd_partitions`. Both land in the level
+    n - 2^k - 2^l, so they agree exactly where their positions there do.
     """
     n, k, l = inst.n, inst.k, inst.l
-    via_l = _images(n, l)
-    via_k = _images(n, k)
     then_k = _images(n - (1 << l), k)
     then_l = _images(n - (1 << k), l)
-    for lam, mu in via_l.items():
-        if then_k[mu] != then_l[via_k[lam]]:
+    for lam, a, b in zip(odd_partitions(n), _images(n, l), _images(n, k)):
+        if then_k[a] != then_l[b]:
             return CommuteVerdict(instance=inst, commutes=False, witness=lam)
     return CommuteVerdict(instance=inst, commutes=True, witness=None)
 

@@ -4,17 +4,20 @@ misses, and per commute verdict and constructed witness, for n <= 63.
 
 Each digest is taken over a canonical text form, one line per item in
 enumeration order: a partition is its parts joined by commas, a table row
-is the partition and its image separated by a space, and a fiber row is
-mu followed by its members, each after a space. A verdict is ``True`` or
-``False`` and its witness, if any, after a space. A refactor that changes
-any line of the output changes an answer.
+is the partition and its image separated by a space, the image read from
+its position in the level below, and a fiber row is mu followed by its
+members, each after a space. A verdict is ``True`` or ``False`` and its
+witness, if any, after a space. A refactor that changes any line of the
+output changes an answer.
 
 Write the committed file with::
 
     PYTHONPATH=src python tests/level_digests.py > tests/level_digests.txt
 
 ``tests/test_level_digests.py`` checks the lines for n <= 28; CI compares
-the whole output with the file.
+the whole output with the file. The tables are the ones
+``maps._images`` caches, held for the whole sweep: they hold positions,
+not partitions, and all of them to n = 63 fit in about 85 MB peak RSS.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from unittest import mock
 
 from oddmaps import (
     CommuteInstance,
@@ -50,10 +52,14 @@ def _sha256(lines: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-def _level_lines(n: int, images) -> Iterator[str]:
+def _level_lines(n: int) -> Iterator[str]:
     yield f"odd_partitions {n} {_sha256(_text(lam.parts) for lam in odd_partitions(n))}"
     for k in range(n.bit_length()):
-        rows = (f"{_text(lam.parts)} {_text(mu.parts)}" for lam, mu in images(n, k).items())
+        below = odd_partitions(n - (1 << k))
+        rows = (
+            f"{_text(lam.parts)} {_text(below[i].parts)}"
+            for lam, i in zip(odd_partitions(n), maps._images(n, k))
+        )
         yield f"images {n} {k} {_sha256(rows)}"
     for k in range(n.bit_length()):
         rows = (
@@ -86,27 +92,8 @@ def digest_lines(n_max: int = N_MAX) -> Iterator[str]:
     2^k < n, and ``commute n k l`` (with ``witness n k l`` where the
     criterion predicts disagreement) for each instance (n; k, l), each
     line ending in its digest."""
-    # The table cache of maps._images is unbounded; kept, the tables to
-    # n = 63 would hold about 350 MB. Here level n reads the tables of
-    # level n and, through commute_verdict, of levels n - 2^i, so a level's
-    # tables are released once no later level lies a power of two above it.
-    # Each image is swapped for the equal partition odd_partitions holds.
-    tables: dict[tuple[int, int], dict] = {}
-    build = maps._images.__wrapped__
-
-    def images(n: int, k: int) -> dict:
-        if (n, k) not in tables:
-            level = odd_partitions(n - (1 << k))
-            held = dict(zip(level, level))
-            tables[n, k] = {lam: held[mu] for lam, mu in build(n, k).items()}
-        return tables[n, k]
-
-    with mock.patch.object(maps, "_images", images):
-        for n in range(n_max + 1):
-            yield from _level_lines(n, images)
-            for m, k in list(tables):
-                if not any(n < m + (1 << i) <= n_max for i in range(n_max.bit_length())):
-                    del tables[m, k]
+    for n in range(n_max + 1):
+        yield from _level_lines(n)
 
 
 if __name__ == "__main__":

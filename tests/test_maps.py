@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -90,8 +91,27 @@ def test_level_table_matches_the_map_at_a_large_level():
     level = odd_partitions(40)
     for k in range((40).bit_length()):
         images = _images(40, k)
-        assert list(images) == list(level)
-        assert images == {lam: remove_odd_hook(lam, k) for lam in level}, k
+        below = odd_partitions(40 - (1 << k))
+        assert len(images) == len(level)
+        assert [below[i] for i in images] == [remove_odd_hook(lam, k) for lam in level], k
+
+
+def test_level_tables_hold_positions_not_partitions():
+    # A table entry is a position in the level below: about a pointer, where
+    # a decoded image Partition costs hundreds of bytes.
+    n = 40
+    for k in range(n.bit_length()):
+        odd_partitions(n - (1 << k))
+    entries = len(odd_partitions(n)) * n.bit_length()
+    _images.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(n.bit_length()):
+            assert all(type(i) is int for i in _images(n, k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * entries, peak / entries
 
 
 def test_fiber_examples():
