@@ -13,13 +13,14 @@ A fiber needs no level: an odd partition of n made from an odd mu by
 adding a 2^k-hook has mu as its only odd 2^k-removal, so :func:`fiber`
 reads mu's odd 2^k-hook additions, the upward slide scan that also
 enumerates the odd partitions. Questions about a whole level read one
-table per (n, k), built once from the route over every odd partition of
-n: for each, in enumeration order, the position of its image in the
-enumeration of n - 2^k. :func:`image_misses` lists the positions no
-image reaches, and :func:`commute_verdict` composes four tables. Every
-partition of a level comes from the enumeration, so the tables skip the
-oddness test and go straight to the removal, and each image is looked up
-by its bead mask, never decoded.
+table per (n, k), built once over every odd partition of n: for each, in
+enumeration order, the position of its image in the enumeration of
+n - 2^k. :func:`image_misses` lists the positions no image reaches, and
+:func:`commute_verdict` composes four tables. A table runs no peel: each
+level keeps one index from the bead mask of each of its odd partitions
+to its position, so a slide is odd exactly when the index of the level
+below holds its mask, and that lookup also gives the image's position.
+No partition is decoded.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -146,18 +147,20 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     # 2^k is built only once k is in range.
     if not 0 <= k < lam.size.bit_length():
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
-    return _partition_from_mask(_only_removal(lam, k, x))
-
-
-def _only_removal(lam: Partition, k: int, x: int) -> int:
-    """The bead mask of the one odd 2^k-hook removal of ``lam``, an odd
-    partition with bead mask ``x``; it may carry padding."""
     slides = _known_odd_slides(x, lam.size, -(1 << k))
     if len(slides) != 1:
         raise RuntimeError(
             f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
         )
-    return slides[0]
+    return _partition_from_mask(slides[0])
+
+
+@lru_cache(maxsize=None)
+def _index(n: int) -> dict[int, int]:
+    """The bead mask of each odd partition of n, without padding, to its
+    position in :func:`odd_partitions`; iterated, the masks come in
+    enumeration order."""
+    return {_bead_mask(lam): i for i, lam in enumerate(odd_partitions(n))}
 
 
 @lru_cache(maxsize=None)
@@ -166,15 +169,34 @@ def _images(n: int, k: int) -> tuple[int, ...]:
     of :func:`odd_partitions`, the position of its image in
     ``odd_partitions(n - 2^k)``.
 
-    Every partition here comes from :func:`odd_partitions` and so is odd:
-    each goes straight to the removal :func:`remove_odd_hook` makes once it
-    has decided oddness. The slide's mask, with its padding (the low run of
-    set bits) dropped, is the bead mask of the image, and is looked up
-    among the level below's masks, not decoded.
+    Oddness is read from the level below, not peeled: each free 2^k-slide
+    of a mask of :func:`_index` at n, its padding (the low run of set bits)
+    dropped, is looked up in ``_index(n - 2^k)``, which holds exactly the
+    odd partitions there. By Theorem A of Isaacs, Navarro, Olsson and Tiep
+    exactly one slide is found, and this is checked as in
+    :func:`remove_odd_hook`; a partition is decoded only to report an
+    entry that breaks it.
     """
-    below = {_bead_mask(mu): i for i, mu in enumerate(odd_partitions(n - (1 << k)))}
-    slides = (_only_removal(lam, k, _bead_mask(lam)) for lam in odd_partitions(n))
-    return tuple(below[y >> ((y + 1) & ~y).bit_length() - 1] for y in slides)
+    step = 1 << k
+    below = _index(n - step).get
+    images = []
+    for x in _index(n):
+        targets = (x >> step) & ~x
+        found = []
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            y = x ^ low ^ (low << step)
+            i = below(y >> ((y + 1) & ~y).bit_length() - 1)
+            if i is not None:
+                found.append(i)
+        if len(found) != 1:
+            lam = odd_partitions(n)[len(images)]
+            raise RuntimeError(
+                f"{lam} has {len(found)} odd 2^{k}-hook removals, expected exactly 1"
+            )
+        images.append(found[0])
+    return tuple(images)
 
 
 def _check_fiber_args(mu: Partition, n: int, k: int) -> None:

@@ -16,7 +16,7 @@ and removals of length 2^k are bead slides by 2^k, and
 a mask with one shift and keeps each slide whose mask peels. The scan
 takes and returns masks; a partition is decoded only from a slide that is
 kept. The map of ``maps`` decides oddness once and then reads its slide
-from this scan, as do the enumeration, the fibers and the level tables.
+from this scan, as do the enumeration and the fibers.
 
 The enumeration is the peel run forwards. With 2^t the top digit of n,
 every odd partition of n is one of the 2^t odd 2^t-hook additions to an

@@ -16,8 +16,9 @@ Write the committed file with::
 
 ``tests/test_level_digests.py`` checks the lines for n <= 28; CI compares
 the whole output with the file. The tables are the ones
-``maps._images`` caches, held for the whole sweep: they hold positions,
-not partitions, and all of them to n = 63 fit in about 85 MB peak RSS.
+``maps._images`` caches, held for the whole sweep with the bead-mask
+index of each level they read: they hold positions, not partitions, and
+all of them to n = 63 fit in about 91 MB peak RSS.
 """
 
 from __future__ import annotations

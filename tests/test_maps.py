@@ -22,7 +22,8 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
-from oddmaps.maps import CommuteVerdict, _images
+from oddmaps.maps import CommuteVerdict, _images, _index
+from oddmaps.partition import _bead_mask
 from oddmaps.quotient import from_core_quotient
 
 P = Partition
@@ -87,13 +88,30 @@ def test_exactly_one_odd_removal():
 
 
 def test_level_table_matches_the_map_at_a_large_level():
-    # The table reads known-odd slides; the map decides oddness itself.
+    # The table finds the odd slide by lookup in the level below's index;
+    # the map peels its partition and every slide itself.
     level = odd_partitions(40)
     for k in range((40).bit_length()):
         images = _images(40, k)
         below = odd_partitions(40 - (1 << k))
         assert len(images) == len(level)
         assert [below[i] for i in images] == [remove_odd_hook(lam, k) for lam in level], k
+
+
+def test_level_table_reports_a_partition_without_image(monkeypatch):
+    # An index of the level below that lacks the mask of (8) leaves (10),
+    # the first odd partition of 10 that f_1 sends there, no odd removal.
+    n, k = 10, 1
+    lost = remove_odd_hook(P((10,)), k)
+    below = dict(_index(n - 2))
+    del below[_bead_mask(lost)]
+    monkeypatch.setattr("oddmaps.maps._index", lambda m: below if m == n - 2 else _index(m))
+    _images.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"^\[10\] has 0 odd 2\^1-hook removals"):
+            _images(n, k)
+    finally:
+        _images.cache_clear()
 
 
 def test_level_tables_hold_positions_not_partitions():
@@ -141,6 +159,7 @@ def test_fiber_members_in_enumeration_order():
 
 def test_fibers_at_63_build_no_level_table():
     _images.cache_clear()
+    _index.cache_clear()
     rng = random.Random(63)
     for k in range(6):
         for mu in rng.sample(odd_partitions(63 - (1 << k)), 8):
@@ -149,6 +168,7 @@ def test_fibers_at_63_build_no_level_table():
             assert all(remove_odd_hook(lam, k) == mu for lam in members), (mu, k)
             assert all(a > b for a, b in zip(members, members[1:])), (mu, k)
     assert _images.cache_info().currsize == 0
+    assert _index.cache_info().currsize == 0
 
 
 def test_fiber_size_formula_examples():
