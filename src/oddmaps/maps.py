@@ -16,11 +16,14 @@ enumerates the odd partitions. Questions about a whole level read one
 table per (n, k), built once over every odd partition of n: for each, in
 enumeration order, the position of its image in the enumeration of
 n - 2^k. :func:`image_misses` lists the positions no image reaches, and
-:func:`commute_verdict` composes four tables. A table runs no peel: each
-level keeps one index from the bead mask of each of its odd partitions
-to its position, so a slide is odd exactly when the index of the level
-below holds its mask, and that lookup also gives the image's position.
-No partition is decoded.
+:func:`commute_verdict` composes four tables. A table runs no peel and
+decodes no partition: it walks the level of ``oddity._level``, the bead
+mask of each odd partition of n padded to n beads, mapped to its
+position. A 2^k-slide keeps n beads with 2^k of them padding, so shifting
+them out gives the key of the level below, which holds exactly the odd
+partitions there: a slide is odd exactly when its key is found, and the
+lookup also gives the image's position. Only answers are decoded: the
+misses of :func:`image_misses` and the witness of :func:`commute_verdict`.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -41,16 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .oddity import (
-    _PARTS,
-    _known_odd_slides,
-    _odd_additions,
-    _peels,
-    d_good,
-    dnk,
-    is_odd,
-    odd_partitions,
-)
+from .oddity import _known_odd_slides, _level, _peels, d_good, dnk, is_odd
 from .partition import Partition, _bead_mask, _partition_from_mask
 from .quotient import e_quotient, from_core_quotient
 
@@ -156,44 +150,36 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _index(n: int) -> dict[int, int]:
-    """The bead mask of each odd partition of n, without padding, to its
-    position in :func:`odd_partitions`; iterated, the masks come in
-    enumeration order."""
-    return {_bead_mask(lam): i for i, lam in enumerate(odd_partitions(n))}
-
-
-@lru_cache(maxsize=None)
 def _images(n: int, k: int) -> tuple[int, ...]:
     """f_k on the whole level n: for each odd partition of n, in the order
     of :func:`odd_partitions`, the position of its image in
     ``odd_partitions(n - 2^k)``.
 
     Oddness is read from the level below, not peeled: each free 2^k-slide
-    of a mask of :func:`_index` at n, its padding (the low run of set bits)
-    dropped, is looked up in ``_index(n - 2^k)``, which holds exactly the
-    odd partitions there. By Theorem A of Isaacs, Navarro, Olsson and Tiep
-    exactly one slide is found, and this is checked as in
+    of an n-bead mask of ``_level(n)`` has its low 2^k bits set, and with
+    them shifted out it is looked up in ``_level(n - 2^k)``, which holds
+    exactly the odd partitions there. By Theorem A of Isaacs, Navarro,
+    Olsson and Tiep exactly one slide is found, and this is checked as in
     :func:`remove_odd_hook`; a partition is decoded only to report an
     entry that breaks it.
     """
     step = 1 << k
-    below = _index(n - step).get
+    below = _level(n - step).get
     images = []
-    for x in _index(n):
+    for x in _level(n):
         targets = (x >> step) & ~x
         found = []
         while targets:
             low = targets & -targets
             targets ^= low
             y = x ^ low ^ (low << step)
-            i = below(y >> ((y + 1) & ~y).bit_length() - 1)
+            i = below(y >> step)
             if i is not None:
                 found.append(i)
         if len(found) != 1:
-            lam = odd_partitions(n)[len(images)]
             raise RuntimeError(
-                f"{lam} has {len(found)} odd 2^{k}-hook removals, expected exactly 1"
+                f"{_partition_from_mask(x)} has {len(found)} odd 2^{k}-hook removals, "
+                "expected exactly 1"
             )
         images.append(found[0])
     return tuple(images)
@@ -212,11 +198,15 @@ def fiber(mu: Partition, n: int, k: int) -> Fiber:
     """The odd partitions of n mapping to ``mu``, descending lexicographic.
 
     They are the odd 2^k-hook additions to ``mu``: each has ``mu`` as its
-    only odd 2^k-removal. Read from one slide scan of ``mu``'s bead mask, so
-    the cost is per instance and no level of n is built.
+    only odd 2^k-removal. Read from one slide scan of ``mu``'s bead mask,
+    padded by 2^k beads so that every slide fits, so the cost is per
+    instance and no level of n is built. The slides all hold as many beads,
+    so descending ints are descending parts.
     """
     _check_fiber_args(mu, n, k)
-    members = tuple(sorted(_odd_additions(mu, n, k), key=_PARTS, reverse=True))
+    step = 1 << k
+    slides = _known_odd_slides(_bead_mask(mu, step), n - step, step)
+    members = tuple(map(_partition_from_mask, sorted(slides, reverse=True)))
     return Fiber(mu=mu, n=n, k=k, members=members)
 
 
@@ -239,12 +229,14 @@ def image_misses(n: int, k: int) -> tuple[Partition, ...]:
     """Odd partitions of n - 2^k with empty fiber, descending lexicographic.
 
     Read from the level table of :func:`_images`: the odd partitions of
-    n - 2^k at positions that no odd partition of n maps to.
+    n - 2^k at positions that no odd partition of n maps to. Only those are
+    decoded.
     """
     if n < 1 or k < 0 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")
     reached = set(_images(n, k))
-    return tuple(mu for i, mu in enumerate(odd_partitions(n - (1 << k))) if i not in reached)
+    below = _level(n - (1 << k))
+    return tuple(_partition_from_mask(y) for y, i in below.items() if i not in reached)
 
 
 def is_surjective(n: int, k: int, verify: bool = False) -> bool:
@@ -293,13 +285,16 @@ def commute_verdict(inst: CommuteInstance) -> CommuteVerdict:
     f_l and f_k on n, then f_k on n - 2^l and f_l on n - 2^k, walked in the
     order of :func:`odd_partitions`. Both land in the level
     n - 2^k - 2^l, so they agree exactly where their positions there do.
+    Only the witness is decoded.
     """
     n, k, l = inst.n, inst.k, inst.l
     then_k = _images(n - (1 << l), k)
     then_l = _images(n - (1 << k), l)
-    for lam, a, b in zip(odd_partitions(n), _images(n, l), _images(n, k)):
+    for x, a, b in zip(_level(n), _images(n, l), _images(n, k)):
         if then_k[a] != then_l[b]:
-            return CommuteVerdict(instance=inst, commutes=False, witness=lam)
+            return CommuteVerdict(
+                instance=inst, commutes=False, witness=_partition_from_mask(x)
+            )
     return CommuteVerdict(instance=inst, commutes=True, witness=None)
 
 

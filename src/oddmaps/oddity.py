@@ -18,21 +18,25 @@ takes and returns masks; a partition is decoded only from a slide that is
 kept. The map of ``maps`` decides oddness once and then reads its slide
 from this scan, as do the enumeration and the fibers.
 
-The enumeration is the peel run forwards. With 2^t the top digit of n,
-every odd partition of n is one of the 2^t odd 2^t-hook additions to an
-odd partition mu of n - 2^t, and adding a 2^t-hook slides one bead b up to
-a free b + 2^t (:func:`_odd_additions`). Each partition built so has mu
-as its only odd 2^t-removal, so mu's additions at k = t are its fiber
-under the removal map f_t; ``maps`` reads fibers at every k from the same
-scan. A standing test checks the enumeration against the filter over all
-partitions in ``reference``.
+The enumeration is the peel run forwards, on bead masks alone. With 2^t
+the top digit of n, every odd partition of n is one of the 2^t odd
+2^t-hook additions to an odd partition mu of n - 2^t, and adding a
+2^t-hook slides one bead b up to a free b + 2^t. :func:`_level` holds a
+level as the bead masks of its odd partitions, each padded to exactly n
+beads: padding mu's mask by 2^t beads and taking its upward slides gives
+n-bead masks, and for masks with one bead count descending ints are
+descending parts, so a plain sort orders the level. Only
+:func:`odd_partitions` decodes it. Each partition built so has mu as its
+only odd 2^t-removal, so mu's additions at k = t are its fiber under the
+removal map f_t; ``maps`` reads fibers at every k from the same scan, and
+its level tables from :func:`_level`. A standing test checks the
+enumeration against the filter over all partitions in ``reference``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from operator import attrgetter
 
 from .partition import Partition, _bead_mask, _partition_from_mask, is_hook_partition, nu2
 from .quotient import e_core
@@ -44,13 +48,6 @@ __all__ = [
     "d_good",
     "dnk",
 ]
-
-_EMPTY = Partition(())
-
-# Sorting on the parts orders partitions as ``Partition.__lt__`` does, with
-# the comparisons in C.
-_PARTS = attrgetter("parts")
-
 
 class DnkDecomposition(namedtuple("DnkDecomposition", "n k d m")):
     """floor(n / 2^k) split as 2^d + m with 2^(d+1) dividing m.
@@ -75,7 +72,7 @@ def _peels(x: int, n: int) -> bool:
     - (i) At k = t the unique odd 2^k-hook removal is Macdonald's test: a
       partition of n is odd iff it has a 2^t-hook whose removal is odd.
       Read backwards it is the enumeration: every +2^t slide of an odd mu
-      of n - 2^t is odd, and :func:`odd_partitions` counts exactly 2^t.
+      of n - 2^t is odd, and :func:`_level` counts exactly 2^t.
     - (ii) One XOR moves exactly one bead: the hooks of length 2^t number
       at most the 2^t-weight, which is at most n / 2^t < 2, so the targets
       hold at most one bit and the peel never chooses between beads.
@@ -116,23 +113,6 @@ def _known_odd_slides(x: int, n: int, step: int) -> list[int]:
     return slides
 
 
-def _odd_additions(mu: Partition, n: int, k: int) -> list[Partition]:
-    """The odd 2^k-hook additions to ``mu``, an odd partition of n - 2^k.
-
-    Adding a 2^k-hook slides one bead b up to a free b + 2^k; a bead mask
-    padded by 2^k beads holds every such slide, including those that
-    lengthen the first column. Each slide is kept when it peels, except at
-    the top digit of n, where every slide of an odd ``mu`` is odd and the
-    caller vouches for the oddness of ``mu`` (see :func:`_known_odd_slides`).
-    An odd partition of n built this way has ``mu`` as its only odd
-    2^k-removal, so the additions are exactly the fiber of ``mu`` under the
-    removal map f_k.
-    """
-    step = 1 << k
-    slides = _known_odd_slides(_bead_mask(mu, step), n - step, step)
-    return list(map(_partition_from_mask, slides))
-
-
 def is_odd(lam: Partition) -> bool:
     """True iff the character labelled by ``lam`` has odd degree.
 
@@ -144,29 +124,40 @@ def is_odd(lam: Partition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def odd_partitions(n: int) -> tuple[Partition, ...]:
-    """All odd partitions of n, descending lexicographic.
+def _level(n: int) -> dict[int, int]:
+    """The bead mask of each odd partition of n, padded to exactly n beads,
+    to its position in :func:`odd_partitions`; the masks come in descending
+    int order, which for one bead count is descending order of the parts.
 
-    With 2^t the top binary digit of n, every odd partition of n - 2^t has
-    exactly 2^t odd 2^t-hook additions, each a slide of one bead up by 2^t
-    on a beta-set padded by 2^t beads; together they give every odd
-    partition of n once, prod(2^j) over the binary digits 2^j of n.
+    With 2^t the top binary digit of n, each mask mu of the level n - 2^t,
+    padded by 2^t more beads, has exactly 2^t odd upward 2^t-slides
+    (Macdonald), n-bead masks that together give every odd partition of n
+    once, prod(2^j) over the binary digits 2^j of n.
     """
     if n < 0:
         raise ValueError("partitions are defined for non-negative integers")
     if n == 0:
-        return (_EMPTY,)
+        return {0: 0}
     t = n.bit_length() - 1
     step = 1 << t
     found = []
-    for mu in odd_partitions(n - step):
-        additions = _odd_additions(mu, n, t)
-        if len(additions) != step:
+    for mu in _level(n - step):
+        slides = _known_odd_slides(mu << step | ((1 << step) - 1), n - step, step)
+        if len(slides) != step:
             raise RuntimeError(
-                f"{mu} has {len(additions)} odd 2^{t}-hook additions, expected {step}"
+                f"{_partition_from_mask(mu)} has {len(slides)} odd 2^{t}-hook additions, "
+                f"expected {step}"
             )
-        found.extend(additions)
-    return tuple(sorted(found, key=_PARTS, reverse=True))
+        found.extend(slides)
+    found.sort(reverse=True)
+    return {x: i for i, x in enumerate(found)}
+
+
+@lru_cache(maxsize=None)
+def odd_partitions(n: int) -> tuple[Partition, ...]:
+    """All odd partitions of n, descending lexicographic: the decoded masks
+    of :func:`_level`."""
+    return tuple(map(_partition_from_mask, _level(n)))
 
 
 def d_good(lam: Partition, d: int) -> bool:

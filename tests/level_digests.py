@@ -16,9 +16,10 @@ Write the committed file with::
 
 ``tests/test_level_digests.py`` checks the lines for n <= 28; CI compares
 the whole output with the file. The tables are the ones
-``maps._images`` caches, held for the whole sweep with the bead-mask
-index of each level they read: they hold positions, not partitions, and
-all of them to n = 63 fit in about 91 MB peak RSS.
+``maps._images`` caches, held for the whole sweep with the bead masks of
+each level they read (``oddity._level``) and the decoded levels this
+sweep prints: the tables hold positions, not partitions, and all of it to
+n = 63 fits in about 94 MB peak RSS.
 """
 
 from __future__ import annotations

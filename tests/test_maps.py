@@ -22,7 +22,8 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
-from oddmaps.maps import CommuteVerdict, _images, _index
+from oddmaps.maps import CommuteVerdict, _images
+from oddmaps.oddity import _level
 from oddmaps.partition import _bead_mask
 from oddmaps.quotient import from_core_quotient
 
@@ -88,7 +89,7 @@ def test_exactly_one_odd_removal():
 
 
 def test_level_table_matches_the_map_at_a_large_level():
-    # The table finds the odd slide by lookup in the level below's index;
+    # The table finds the odd slide by lookup in the level below;
     # the map peels its partition and every slide itself.
     level = odd_partitions(40)
     for k in range((40).bit_length()):
@@ -99,13 +100,13 @@ def test_level_table_matches_the_map_at_a_large_level():
 
 
 def test_level_table_reports_a_partition_without_image(monkeypatch):
-    # An index of the level below that lacks the mask of (8) leaves (10),
-    # the first odd partition of 10 that f_1 sends there, no odd removal.
+    # A level below that lacks the (n - 2)-bead mask of (8) leaves (10), the
+    # first odd partition of 10 that f_1 sends there, no odd removal.
     n, k = 10, 1
     lost = remove_odd_hook(P((10,)), k)
-    below = dict(_index(n - 2))
-    del below[_bead_mask(lost)]
-    monkeypatch.setattr("oddmaps.maps._index", lambda m: below if m == n - 2 else _index(m))
+    below = dict(_level(n - 2))
+    del below[_bead_mask(lost, n - 2 - len(lost))]
+    monkeypatch.setattr("oddmaps.maps._level", lambda m: below if m == n - 2 else _level(m))
     _images.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=r"^\[10\] has 0 odd 2\^1-hook removals"):
@@ -116,11 +117,13 @@ def test_level_table_reports_a_partition_without_image(monkeypatch):
 
 def test_level_tables_hold_positions_not_partitions():
     # A table entry is a position in the level below: about a pointer, where
-    # a decoded image Partition costs hundreds of bytes.
+    # a decoded image Partition costs hundreds of bytes. Every level the
+    # tables read is built before tracing, so only the tables are measured,
+    # in any test order.
     n = 40
     for k in range(n.bit_length()):
-        odd_partitions(n - (1 << k))
-    entries = len(odd_partitions(n)) * n.bit_length()
+        _level(n - (1 << k))
+    entries = len(_level(n)) * n.bit_length()
     _images.cache_clear()
     tracemalloc.start()
     try:
@@ -129,7 +132,7 @@ def test_level_tables_hold_positions_not_partitions():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * entries, peak / entries
+    assert peak < 25 * entries, peak / entries
 
 
 def test_fiber_examples():
@@ -159,16 +162,17 @@ def test_fiber_members_in_enumeration_order():
 
 def test_fibers_at_63_build_no_level_table():
     _images.cache_clear()
-    _index.cache_clear()
     rng = random.Random(63)
-    for k in range(6):
-        for mu in rng.sample(odd_partitions(63 - (1 << k)), 8):
+    samples = [(k, rng.sample(odd_partitions(63 - (1 << k)), 8)) for k in range(6)]
+    levels = _level.cache_info().currsize
+    for k, sample in samples:
+        for mu in sample:
             members = fiber(mu, 63, k).members
             assert len(members) == fiber_size_formula(mu, 63, k), (mu, k)
             assert all(remove_odd_hook(lam, k) == mu for lam in members), (mu, k)
             assert all(a > b for a, b in zip(members, members[1:])), (mu, k)
     assert _images.cache_info().currsize == 0
-    assert _index.cache_info().currsize == 0
+    assert _level.cache_info().currsize == levels
 
 
 def test_fiber_size_formula_examples():

@@ -14,7 +14,7 @@ from oddmaps import (
     odd_partitions_by_filter,
     partitions_of,
 )
-from oddmaps.oddity import _known_odd_slides, d_good
+from oddmaps.oddity import _known_odd_slides, _level, d_good
 from oddmaps.partition import _bead_mask, is_hook_partition
 from oddmaps.quotient import e_core, e_quotient, k_data
 from oddmaps.reference import (
@@ -94,7 +94,7 @@ def test_known_odd_removals_match_the_full_count():
 
 
 def test_known_odd_additions_match_the_full_count():
-    # The +2^t slides odd_partitions(n) takes from each odd mu of n - 2^t.
+    # The +2^t slides _level(n) takes from each odd mu of n - 2^t.
     for n in range(1, 33):
         step = 1 << (n.bit_length() - 1)
         for mu in odd_partitions(n - step):
@@ -128,8 +128,37 @@ def test_odd_partitions_examples():
 
 
 def test_odd_partitions_agree_with_filter():
+    # The keys of a level hold exactly n beads and strictly descend, and
+    # each is the n-bead mask of the odd partition it decodes to: the level
+    # tables find a slide's key below by shifting its 2^k padding beads out.
     for n in range(29):
         assert odd_partitions(n) == odd_partitions_by_filter(n), n
+        keys = list(_level(n))
+        assert all(x.bit_count() == n for x in keys), n
+        assert all(a > b for a, b in zip(keys, keys[1:])), n
+        assert [_bead_mask(lam, n - len(lam)) for lam in odd_partitions(n)] == keys, n
+
+
+def test_enumeration_reports_a_mu_without_its_additions(monkeypatch):
+    # Dropping one of the four odd 4-hook additions to (2), held with 2 beads
+    # and padded by 4 more, must stop the enumeration of 6 with a message
+    # that names (2).
+    mu = _bead_mask(P((2,)), 1 + 4)
+
+    def one_short(x, n, step):
+        slides = _known_odd_slides(x, n, step)
+        return slides[1:] if x == mu else slides
+
+    _level.cache_clear()
+    odd_partitions.cache_clear()
+    monkeypatch.setattr("oddmaps.oddity._known_odd_slides", one_short)
+    message = r"^\[2\] has 3 odd 2\^2-hook additions, expected 4$"
+    try:
+        with pytest.raises(RuntimeError, match=message):
+            odd_partitions(6)
+    finally:
+        _level.cache_clear()
+        odd_partitions.cache_clear()
 
 
 def test_odd_count_law():
