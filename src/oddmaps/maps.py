@@ -244,15 +244,16 @@ def is_surjective(n: int, k: int, verify: bool = False) -> bool:
 
     Closed criterion: depth d(n, k) at most 2 for k = 0, at most 1 for
     k > 0. With ``verify`` the criterion is checked against the map's
-    actual image, read by :func:`image_misses` from the level table of
-    f_k; disagreement would refute the classification.
+    actual image: the number of distinct positions in the level table of
+    f_k against the size of the level below, with no partition decoded;
+    disagreement would refute the classification.
     """
     if n < 1 or k >= (n - 1).bit_length():
         raise ValueError("need 2^k < n")
     d = dnk(n, k).d
     criterion = d <= 2 if k == 0 else d <= 1
     if verify:
-        actual = len(image_misses(n, k)) == 0
+        actual = len(set(_images(n, k))) == len(_level(n - (1 << k)))
         if actual != criterion:
             raise RuntimeError(
                 f"surjectivity criterion {criterion} but image misses say {actual} "

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import cached_property, total_ordering
 from itertools import accumulate
-from operator import add, index
+from operator import add, index, lt
 
 __all__ = [
     "Partition",
@@ -38,7 +38,7 @@ class Partition:
     def __init__(self, parts: Iterable[int] = ()):
         # operator.index rejects a non-integral part instead of truncating it.
         parts = tuple(map(index, parts))
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
         if parts and parts[-1] <= 0:
             raise ValueError("parts must be positive")

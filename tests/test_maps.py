@@ -233,6 +233,42 @@ def test_is_surjective_examples():
         is_surjective(4, 2)
 
 
+def test_surjectivity_check_decodes_no_partition(monkeypatch):
+    # With verify the table's distinct positions are counted against the
+    # level below; the image misses, (8, 0)'s among them, are not decoded.
+    pairs = [(n, k) for n in range(2, 21) for k in range((n - 1).bit_length())]
+    criteria = [is_surjective(n, k) for n, k in pairs]
+    assert not all(criteria)
+
+    def refuse(x):
+        raise AssertionError("decoded a partition")
+
+    monkeypatch.setattr("oddmaps.maps._partition_from_mask", refuse)
+    assert [is_surjective(n, k, verify=True) for n, k in pairs] == criteria
+
+
+def test_surjectivity_check_reports_a_table_that_refutes_the_criterion(monkeypatch):
+    # (12, 0) is surjective and (8, 0) is not; a table that misses one
+    # position of the first, or reaches every position of the second,
+    # refutes the criterion.
+    tables = {
+        (12, 0): tuple(i for i in _images(12, 0) if i != 0),
+        (8, 0): tuple(range(len(_level(7)))),
+    }
+    monkeypatch.setattr("oddmaps.maps._images", lambda n, k: tables[n, k])
+    with pytest.raises(
+        RuntimeError,
+        match=r"surjectivity criterion True but image misses say False at \(n=12, k=0\)",
+    ):
+        is_surjective(12, 0, verify=True)
+    with pytest.raises(
+        RuntimeError,
+        match=r"surjectivity criterion False but image misses say True at \(n=8, k=0\)",
+    ):
+        is_surjective(8, 0, verify=True)
+    assert is_surjective(12, 0) and not is_surjective(8, 0)
+
+
 def test_commute_instance_fields():
     inst = CommuteInstance(13, 0, 2)
     assert inst.t == 3 and inst.m == 5

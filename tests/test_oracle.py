@@ -13,6 +13,7 @@ from oddmaps.oracle import (
     _mask_of,
     _nu2_degree_mask,
     _parts_of,
+    _toggle_step,
     skew_syt_parity,
     unique_odd_constituent,
 )
@@ -162,6 +163,48 @@ def test_one_walk_frontiers_match_skew_parities():
     assert list(_frontiers((1,), -1)) == []
 
 
+def test_two_box_steps_are_one_domino_step():
+    # A two-box skew shape has one standard filling if it is a domino and
+    # two otherwise, so mod 2 two one-box steps are one domino step, at any
+    # padding.
+    for n in range(23):
+        for lam in partitions_of(n):
+            for padding in (0, 2):
+                start = {_mask_of(lam.parts, len(lam) + padding)}
+                boxes = _toggle_step(_toggle_step(start, 1), 1)
+                assert boxes == _toggle_step(start, 2), (lam, padding)
+
+
+def one_box_walk(parts: tuple[int, ...], depth: int) -> list[set[tuple[int, ...]]]:
+    # The part tuples reached from parts by an odd number of one-box
+    # removal paths at each depth up to depth, walked on parts rather than
+    # on bead masks.
+    frontiers = [{parts}]
+    for _ in range(depth):
+        nxt = set()
+        for lam in frontiers[-1]:
+            for i in range(len(lam)):
+                if i + 1 < len(lam) and lam[i] == lam[i + 1]:
+                    continue
+                mu = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
+                nxt ^= {mu if mu[-1] else mu[:-1]}
+        frontiers.append(nxt)
+    return frontiers
+
+
+def test_domino_frontiers_match_a_one_box_walk_at_47():
+    # Depth 2^k by 2^(k - 1) domino steps against 2^k one-box steps, at
+    # every depth up to 32, on every 32nd odd partition of 47.
+    sample = odd_partitions(47)[::32]
+    assert len(sample) == 64
+    for lam in sample:
+        boxes = one_box_walk(lam.parts, 32)
+        for k, masks in enumerate(_frontiers(lam.parts, 5)):
+            frontier = {_parts_of(x) for x in masks}
+            assert len(frontier) == len(masks)
+            assert frontier == boxes[1 << k], (lam, k)
+
+
 def test_cross_validate_small():
     report = cross_validate(2)
     assert report.checks_run > 0 and report.ok
@@ -218,3 +261,31 @@ def test_a_raising_map_is_that_checks_mismatch(capsys, monkeypatch):
     assert pickle.loads(pickle.dumps(report)) == report
     assert main(["verify", "--max-n", "5"]) == 1
     assert "[3] k=1: expected [1], got error: injected failure" in capsys.readouterr().out
+
+
+def test_only_a_mismatch_decodes_its_survivor(monkeypatch):
+    decoded = []
+
+    def parts_of(x):
+        decoded.append(x)
+        return _parts_of(x)
+
+    monkeypatch.setattr("oddmaps.oracle._parts_of", parts_of)
+    clean = cross_validate(12)
+    assert clean.ok and decoded == []
+
+    # Answers with more parts than lam, of another type, or with fewer parts
+    # than the survivor are each that check's mismatch, in report order.
+    wrong = {((3,), 0): P((1, 1)), ((3,), 1): (1,), ((1, 1, 1), 0): P((2,))}
+    monkeypatch.setattr(
+        "oddmaps.maps.remove_odd_hook",
+        lambda lam, k: wrong.get((lam.parts, k)) or remove_odd_hook(lam, k),
+    )
+    report = cross_validate(12)
+    assert report.checks_run == clean.checks_run
+    assert report.mismatches == (
+        Mismatch(lam=P((3,)), k=0, expected=P((2,)), got=P((1, 1))),
+        Mismatch(lam=P((3,)), k=1, expected=P((1,)), got=(1,)),
+        Mismatch(lam=P((1, 1, 1)), k=0, expected=P((1, 1)), got=P((2,))),
+    )
+    assert len(decoded) == 3
