@@ -256,8 +256,8 @@ def is_surjective(n: int, k: int, verify: bool = False) -> bool:
         actual = len(set(_images(n, k))) == len(_level(n - (1 << k)))
         if actual != criterion:
             raise RuntimeError(
-                f"surjectivity criterion {criterion} but image misses say {actual} "
-                f"at (n={n}, k={k})"
+                f"surjectivity criterion {criterion} but the level table gives "
+                f"surjective {actual} at (n={n}, k={k})"
             )
     return criterion
 

@@ -175,18 +175,18 @@ def skew_syt_parity(lam: Partition, mu: Partition) -> int:
     return 1 if _mask_of(mu.parts, m) in frontier else 0
 
 
-def _frontiers(parts: tuple[int, ...], k_max: int) -> Iterator[set[int]]:
-    """The bead masks, with len(parts) beads, of the shapes reached from
-    ``parts`` by an odd number of one-box removal paths at depths
-    1, 2, 4, ..., 2^k_max.
+def _frontiers(x: int, k_max: int) -> Iterator[set[int]]:
+    """The bead masks, with as many beads as the mask ``x``, of the shapes
+    reached from the shape of ``x`` by an odd number of one-box removal
+    paths at depths 1, 2, 4, ..., 2^k_max.
 
-    Depth 1 is one one-box step from ``parts``. Mod 2 two one-box steps
-    are one domino step, so depth 2^k, k >= 1, is 2^(k - 1) domino steps
-    from ``parts``, read off one walk as it passes each depth.
+    Depth 1 is one one-box step from ``x``. Mod 2 two one-box steps are
+    one domino step, so depth 2^k, k >= 1, is 2^(k - 1) domino steps from
+    ``x``, read off one walk as it passes each depth.
     """
     if k_max < 0:
         return
-    frontier = {_mask_of(parts, len(parts))}
+    frontier = {x}
     yield _toggle_step(frontier, 1)
     dominoes = 0
     for k in range(1, k_max + 1):
@@ -224,9 +224,10 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
     # |lam| = 0; compared by bit length so no 2^k is built.
     if k >= max(lam.size - 1, 0).bit_length():
         raise ValueError("need 2^k < |lam|")
-    if _nu2_degree_mask(_mask_of(lam.parts, len(lam)), lam.size) != 0:
+    x = _mask_of(lam.parts, len(lam))
+    if _nu2_degree_mask(x, lam.size) != 0:
         raise ValueError("defined for odd-degree partitions")
-    *_, frontier = _frontiers(lam.parts, k)
+    *_, frontier = _frontiers(x, k)
     return _trusted_partition(_parts_of(_odd_survivor(lam, k, frontier)))
 
 
@@ -239,21 +240,22 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     mismatches: list[Mismatch] = []
     odd_by_degree = []
     for lam in partitions_of(n):
-        expected = _nu2_degree_mask(_mask_of(lam.parts, len(lam)), n) == 0
+        x = _mask_of(lam.parts, len(lam))
+        expected = _nu2_degree_mask(x, n) == 0
         got = is_odd(lam)
         checks += 1
         if expected != got:
             mismatches.append(Mismatch(lam=lam, k=None, expected=expected, got=got))
         if expected:
-            odd_by_degree.append(lam)
+            odd_by_degree.append((lam, x))
     # The largest k with 2^k < n; -1 at n = 1, where no k is checked.
     k_max = (n - 1).bit_length() - 1
-    for lam in odd_by_degree:
+    for lam, x in odd_by_degree:
         m = len(lam)
-        # One walk per lam serves every k. The map's answer is compared as
-        # a bead mask with m beads, and a survivor is decoded only to report
-        # a mismatch.
-        for k, frontier in enumerate(_frontiers(lam.parts, k_max)):
+        # One walk per lam, from the mask of the degree pass, serves every
+        # k. The map's answer is compared as a bead mask with m beads, and
+        # a survivor is decoded only to report a mismatch.
+        for k, frontier in enumerate(_frontiers(x, k_max)):
             checks += 1
             try:
                 got_mu: object = remove_odd_hook(lam, k)

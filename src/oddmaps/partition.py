@@ -7,9 +7,12 @@ length L slides one bead down by L. The quotient, oddness and map modules
 compute on one bead format, the bead mask: the int whose set bits are the
 beads, which :func:`_bead_mask` encodes from a partition and
 :func:`_partition_from_mask` decodes back, so a slide is one XOR and a
-partition is built once, at the end. Character degrees are never
-materialized: only their 2-adic valuations are computed, via Frobenius's
-formula on beta numbers.
+partition is built once, at the end. A partition is encoded at most once:
+the first encoding is kept on it, a memo of its parts like ``conjugate``,
+and later ones only pad it. A decoded partition does not store its mask,
+since most decoded answers are rendered and never encoded again.
+Character degrees are never materialized: only their 2-adic valuations
+are computed, via Frobenius's formula on beta numbers.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ __all__ = [
 @total_ordering
 class Partition:
     """Weakly decreasing positive integer parts; () is the empty partition."""
+
+    # The unpadded bead mask, stored on the instance by the first
+    # _bead_mask call.
+    _beads: int | None = None
 
     def __init__(self, parts: Iterable[int] = ()):
         # operator.index rejects a non-integral part instead of truncating it.
@@ -135,9 +142,20 @@ def _trusted_partition(parts: tuple[int, ...]) -> Partition:
 def _bead_mask(lam: Partition, pad: int = 0) -> int:
     """The bead mask of ``beta_set(lam, len(lam) + pad)``: the int whose
     bit b is set iff b is a bead. Padding shifts every bead up by ``pad``
-    and fills the ``pad`` low bits."""
-    beads = map(add, lam.parts, range(len(lam.parts) - 1, -1, -1))
-    return sum(map((1).__lshift__, beads)) << pad | ((1 << pad) - 1)
+    and fills the ``pad`` low bits.
+
+    ``lam`` is encoded at most once: the unpadded mask is kept on it and
+    every later call only pads it. :func:`_partition_from_mask` does not
+    store the mask it decodes, so a partition built only to be rendered
+    carries none.
+    """
+    x = lam._beads
+    if x is None:
+        x = 0
+        for b, p in enumerate(reversed(lam.parts)):
+            x |= 1 << (p + b)
+        lam._beads = x
+    return x << pad | ((1 << pad) - 1)
 
 
 def _partition_from_mask(x: int) -> Partition:

@@ -258,12 +258,12 @@ def test_surjectivity_check_reports_a_table_that_refutes_the_criterion(monkeypat
     monkeypatch.setattr("oddmaps.maps._images", lambda n, k: tables[n, k])
     with pytest.raises(
         RuntimeError,
-        match=r"surjectivity criterion True but image misses say False at \(n=12, k=0\)",
+        match=r"surjectivity criterion True but the level table gives surjective False at \(n=12, k=0\)",
     ):
         is_surjective(12, 0, verify=True)
     with pytest.raises(
         RuntimeError,
-        match=r"surjectivity criterion False but image misses say True at \(n=8, k=0\)",
+        match=r"surjectivity criterion False but the level table gives surjective True at \(n=8, k=0\)",
     ):
         is_surjective(8, 0, verify=True)
     assert is_surjective(12, 0) and not is_surjective(8, 0)

@@ -148,7 +148,7 @@ def test_one_walk_frontiers_match_skew_parities():
         for lam in partitions_of(n):
             if nu2_degree(lam) != 0:
                 continue
-            frontiers = list(_frontiers(lam.parts, k_max))
+            frontiers = list(_frontiers(_mask_of(lam.parts, len(lam)), k_max))
             assert len(frontiers) == k_max + 1
             for k, masks in enumerate(frontiers):
                 frontier = {_parts_of(x) for x in masks}
@@ -160,7 +160,7 @@ def test_one_walk_frontiers_match_skew_parities():
                 }
                 assert frontier == brute, (lam, k)
                 assert unique_odd_constituent(lam, k) == remove_odd_hook(lam, k), (lam, k)
-    assert list(_frontiers((1,), -1)) == []
+    assert list(_frontiers(_mask_of((1,), 1), -1)) == []
 
 
 def test_two_box_steps_are_one_domino_step():
@@ -199,7 +199,7 @@ def test_domino_frontiers_match_a_one_box_walk_at_47():
     assert len(sample) == 64
     for lam in sample:
         boxes = one_box_walk(lam.parts, 32)
-        for k, masks in enumerate(_frontiers(lam.parts, 5)):
+        for k, masks in enumerate(_frontiers(_mask_of(lam.parts, len(lam)), 5)):
             frontier = {_parts_of(x) for x in masks}
             assert len(frontier) == len(masks)
             assert frontier == boxes[1 << k], (lam, k)

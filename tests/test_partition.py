@@ -136,6 +136,28 @@ def test_trusted_build_matches_the_checked_constructor():
         assert sorted(trusted) == sorted(checked)
 
 
+def test_a_partition_keeps_its_bead_mask():
+    # Every partition of n <= 20, built three ways, fresh for each padding:
+    # the first encoding is kept on the partition and every later call pads
+    # it, keeping it changes no value, and a decoder stores no mask.
+    for pad in range(4):
+        for n in range(21):
+            for listed in partitions_of(n):
+                x = [sum(1 << b for b in beta_set(listed, len(listed) + q)) for q in range(4)]
+                decoded = _partition_from_mask(x[pad])
+                assert "_beads" not in vars(decoded)
+                fresh = Partition(listed.parts)
+                for lam in (Partition(listed.parts), listed, decoded):
+                    assert _bead_mask(lam, pad) == x[pad] and _bead_mask(lam, pad) == x[pad]
+                    assert [_bead_mask(lam, q) for q in range(4)] == x
+                    assert lam == fresh and hash(lam) == hash(fresh)
+                    assert repr(lam) == repr(fresh) and str(lam) == str(fresh)
+                    back = pickle.loads(pickle.dumps(lam))
+                    assert back == lam and vars(back) == vars(lam)
+                assert "_beads" not in vars(fresh)
+    assert Partition._beads is None
+
+
 def test_nu2_degree_examples():
     assert nu2_degree(P((3, 1))) == 0
     assert nu2_degree(P((2, 1))) == 1
