@@ -25,12 +25,13 @@ the top digit of n, every odd partition of n is one of the 2^t odd
 level as the bead masks of its odd partitions, each padded to exactly n
 beads: padding mu's mask by 2^t beads and taking its upward slides gives
 n-bead masks, and for masks with one bead count descending ints are
-descending parts, so a plain sort orders the level. Only
-:func:`odd_partitions` decodes it. Each partition built so has mu as its
-only odd 2^t-removal, so mu's additions at k = t are its fiber under the
-removal map f_t; ``maps`` reads fibers at every k from the same scan, and
-its level tables from :func:`_level`. A standing test checks the
-enumeration against the filter over all partitions in ``reference``.
+descending parts, so a plain sort orders the level. It is the one cache
+of a level: :func:`odd_partitions` decodes it on each call and keeps no
+decoded level. Each partition built so has mu as its only odd
+2^t-removal, so mu's additions at k = t are its fiber under the removal
+map f_t; ``maps`` reads fibers at every k from the same scan, and its
+level tables from :func:`_level`. A standing test checks the enumeration
+against the filter over all partitions in ``reference``.
 """
 
 from __future__ import annotations
@@ -153,10 +154,10 @@ def _level(n: int) -> dict[int, int]:
     return {x: i for i, x in enumerate(found)}
 
 
-@lru_cache(maxsize=None)
 def odd_partitions(n: int) -> tuple[Partition, ...]:
     """All odd partitions of n, descending lexicographic: the decoded masks
-    of :func:`_level`."""
+    of :func:`_level`, decoded again on each call and cached nowhere, so a
+    caller that reads a level more than once keeps its own tuple."""
     return tuple(map(_partition_from_mask, _level(n)))
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from collections import defaultdict
@@ -150,7 +151,6 @@ def test_enumeration_reports_a_mu_without_its_additions(monkeypatch):
         return slides[1:] if x == mu else slides
 
     _level.cache_clear()
-    odd_partitions.cache_clear()
     monkeypatch.setattr("oddmaps.oddity._known_odd_slides", one_short)
     message = r"^\[2\] has 3 odd 2\^2-hook additions, expected 4$"
     try:
@@ -158,7 +158,24 @@ def test_enumeration_reports_a_mu_without_its_additions(monkeypatch):
             odd_partitions(6)
     finally:
         _level.cache_clear()
-        odd_partitions.cache_clear()
+
+
+def test_a_decoded_level_is_held_by_nobody():
+    # The masks of level 48 stay in _level; the 512 partitions decoded from
+    # them are built afresh on each call and freed with the caller's tuple.
+    _level(48)
+    assert not hasattr(odd_partitions, "cache_info")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        first, second = odd_partitions(48), odd_partitions(48)
+        assert first == second and first is not second
+        del first, second
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 10_000, held
 
 
 def test_odd_count_law():

@@ -12,10 +12,9 @@ from oddmaps import (
     is_odd,
     nu2_degree,
     odd_hook_removals,
-    odd_partitions,
     remove_odd_hook,
 )
-from oddmaps.oddity import _known_odd_slides
+from oddmaps.oddity import _known_odd_slides, _level
 from oddmaps.partition import _bead_mask, _partition_from_mask, beta_set, partition_from_beta
 from oddmaps.reference import core_tower
 
@@ -36,8 +35,8 @@ def partitions(draw, max_size=60):
 
 @st.composite
 def odd_members(draw, min_size=0, max_size=63):
-    members = odd_partitions(draw(st.integers(min_size, max_size)))
-    return members[draw(st.integers(0, len(members) - 1))]
+    level = _level(draw(st.integers(min_size, max_size)))
+    return _partition_from_mask(list(level)[draw(st.integers(0, len(level) - 1))])
 
 
 @reproducible
