@@ -9,6 +9,9 @@ The package root exports the objects and maps the paper is about, the
 references that check them, and ``cross_validate``. Everything else,
 such as the quotient tables, the oracle's parts and the other reference
 routes (hook enumeration, the core tower), is imported from its submodule.
+The three reference routes the root exports load ``reference`` only when
+one is first read (PEP 562), so importing the package or its command line
+does not pay for them.
 """
 
 from .maps import (
@@ -26,7 +29,6 @@ from .oddity import dnk, is_odd, odd_partitions
 from .oracle import cross_validate
 from .partition import Partition, nu2_degree, partitions_of
 from .quotient import k_data
-from .reference import odd_hook_removals, odd_partitions_by_filter, remove_odd_hook_via_tower
 
 __version__ = "0.1.0"
 
@@ -52,3 +54,13 @@ __all__ = [
     "counterexample_witness",
     "cross_validate",
 ]
+
+_REFERENCE = ("odd_hook_removals", "odd_partitions_by_filter", "remove_odd_hook_via_tower")
+
+
+def __getattr__(name: str) -> object:
+    if name in _REFERENCE:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

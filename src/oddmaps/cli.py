@@ -41,10 +41,8 @@ fresh one.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
-import shlex
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
@@ -291,6 +289,9 @@ def _emit(args: argparse.Namespace, record: dict[str, object], command: _Command
     if args.format == "json":
         rendered = _json(record)
     elif args.format == "csv":
+        # Imported here: only a CSV render pays for the module.
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf).writerows(command.rows(record))
         rendered = buf.getvalue().rstrip("\n")
@@ -348,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
+        # Imported here: only an invariant failure pays for the module.
+        import shlex
+
         print(f"error: {exc}", file=sys.stderr)
         print(f"command: oddmaps {shlex.join(argv)}", file=sys.stderr)
         return 3

@@ -29,6 +29,13 @@ free b - 2, bit moves, and the degree valuation is read off the mask with
 popcounts (see :func:`_nu2_degree_mask`). ``cross_validate`` encodes the
 map's answer at each 2^k as a mask and compares it with the one odd-degree
 survivor there, which it decodes back to parts only to report a mismatch.
+
+The walks of one level reach the same shapes many times, from partitions
+with different numbers of parts and so at different paddings. Each level of
+``cross_validate`` keeps one dict from a shape's unpadded mask (its low run
+of set bits, the beads of parts 0, shifted out) to its degree parity, so
+every shape's degree is tested once per level whatever its padding. The
+dict is local to the level: nothing is cached between levels or calls.
 """
 
 from __future__ import annotations
@@ -196,11 +203,26 @@ def _frontiers(x: int, k_max: int) -> Iterator[set[int]]:
         yield frontier
 
 
-def _odd_survivor(lam: Partition, k: int, frontier: set[int]) -> int:
+def _odd_survivor(lam: Partition, k: int, frontier: set[int], odd: dict[int, bool]) -> int:
     """The bead mask of the one odd-degree shape in ``lam``'s depth-2^k
-    frontier."""
+    frontier, with its padding.
+
+    ``odd`` memoises the degree test for one level: it maps a shape's mask
+    with its low run of set bits (the padding, parts of 0) shifted out to
+    whether its degree is odd. Walks from partitions with different numbers
+    of parts reach the same shape at different paddings, and the unpadded
+    mask names the shape, and so its size, whatever the padding. The
+    valuation is padding-invariant, so a miss is computed on that mask.
+    """
     size = lam.size - (1 << k)
-    candidates = [x for x in frontier if _nu2_degree_mask(x, size) == 0]
+    candidates = []
+    for x in frontier:
+        key = x >> ((x + 1) & ~x).bit_length() - 1
+        odd_degree = odd.get(key)
+        if odd_degree is None:
+            odd_degree = odd[key] = _nu2_degree_mask(key, size) == 0
+        if odd_degree:
+            candidates.append(x)
     if len(candidates) != 1:
         raise RuntimeError(
             f"{lam} at k={k}: {len(candidates)} odd constituents with odd parity"
@@ -228,10 +250,20 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
     if _nu2_degree_mask(x, lam.size) != 0:
         raise ValueError("defined for odd-degree partitions")
     *_, frontier = _frontiers(x, k)
-    return _trusted_partition(_parts_of(_odd_survivor(lam, k, frontier)))
+    return _trusted_partition(_parts_of(_odd_survivor(lam, k, frontier, {})))
 
 
 def _check_level(n: int) -> tuple[int, list[Mismatch]]:
+    """The checks of one level of :func:`cross_validate`, and its mismatches.
+
+    Every partition of n takes one degree test, against ``is_odd``; every
+    odd one takes one walk, read at each depth 2^k < n, against the map.
+    The walks of a level meet the same shapes again and again, so the
+    level keeps one memo of their degree parities (see
+    :func:`_odd_survivor`) and tests each shape once. The memo is local:
+    it dies with the call, so no level holds another's shapes and a
+    worker process carries nothing from one level to the next.
+    """
     # Imports deferred so the oracle itself stays free of tower machinery.
     from .maps import remove_odd_hook
     from .oddity import is_odd
@@ -239,6 +271,7 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     checks = 0
     mismatches: list[Mismatch] = []
     odd_by_degree = []
+    odd: dict[int, bool] = {}
     for lam in partitions_of(n):
         x = _mask_of(lam.parts, len(lam))
         expected = _nu2_degree_mask(x, n) == 0
@@ -262,7 +295,7 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
             except Exception as exc:
                 got_mu = f"error: {exc}"
             try:
-                survivor = _odd_survivor(lam, k, frontier)
+                survivor = _odd_survivor(lam, k, frontier, odd)
             except RuntimeError as exc:
                 expected_mu: object = f"oracle failure: {exc}"
             else:

@@ -221,25 +221,45 @@ def is_hook_partition(lam: Partition) -> bool:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n in descending lexicographic order.
+
+    Zoghbi and Stojmenović's ZS1 (Int. J. Comput. Math. 70 (1998) 319-332),
+    in constant amortised time per partition: ``x`` holds the parts padded
+    with 1s to length n, ``m`` is the number of parts and ``h`` the index of
+    the last part above 1. Every step lowers x[h] by one and refills the
+    parts after it greedily with that value, so the trailing 1s are never
+    rescanned; a part of 2 becomes a 1 and one more part.
+    """
     n = index(n)
     if n < 0:
         raise ValueError("partitions are defined for non-negative integers")
     if n == 0:
         yield _trusted_partition(())
         return
-    r = (n,)
-    yield _trusted_partition(r)
-    while True:
-        i = len(r) - 1
-        while i >= 0 and r[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        freed = len(r) - i
-        r = r[:i] + (r[i] - 1,)
-        while freed > 0:
-            nxt = min(r[-1], freed)
-            r += (nxt,)
-            freed -= nxt
-        yield _trusted_partition(r)
+    x = [1] * n
+    x[0] = n
+    m = 1
+    h = 0
+    yield _trusted_partition((n,))
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            # The amount freed: one from x[h] and the m - 1 - h trailing 1s.
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield _trusted_partition(tuple(x[:m]))

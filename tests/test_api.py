@@ -84,9 +84,17 @@ def test_production_never_imports_the_reference_routes():
     assert "hooks_of_length" not in imported[oddmaps.quotient]
 
 
-def test_cold_import_loads_no_process_pool_and_no_dataclasses():
-    # A fresh interpreter, so that nothing pytest loaded counts.
+def _cold_import(then: str) -> subprocess.CompletedProcess:
+    """Run ``import oddmaps, oddmaps.cli`` and then ``then`` in a fresh
+    interpreter, so that nothing pytest loaded counts."""
     src = str(Path(oddmaps.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import oddmaps, oddmaps.cli; {then}"
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cold_import_loads_no_process_pool_and_no_dataclasses():
     unwanted = (
         "concurrent.futures.process",
         "multiprocessing",
@@ -94,11 +102,16 @@ def test_cold_import_loads_no_process_pool_and_no_dataclasses():
         "inspect",
         "typing",
     )
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import oddmaps, oddmaps.cli; "
-        f"print([m for m in {unwanted!r} if m in sys.modules])"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
+    proc = _cold_import(f"print([m for m in {unwanted!r} if m in sys.modules])")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_cold_import_loads_no_reference_routes_csv_or_shlex():
+    # The root loads reference on first reading one of its three routes.
+    proc = _cold_import(
+        "print([m for m in ('oddmaps.reference', 'csv', 'shlex') if m in sys.modules]); "
+        "from oddmaps import reference; "
+        "print(oddmaps.odd_hook_removals is reference.odd_hook_removals, "
+        "hasattr(oddmaps, 'hooks_of_length'))"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue False\n", "")

@@ -9,6 +9,7 @@ from oddmaps import Partition, cross_validate, odd_partitions, partitions_of, re
 from oddmaps.cli import main
 from oddmaps.oracle import (
     Mismatch,
+    _check_level,
     _frontiers,
     _mask_of,
     _nu2_degree_mask,
@@ -203,6 +204,32 @@ def test_domino_frontiers_match_a_one_box_walk_at_47():
             frontier = {_parts_of(x) for x in masks}
             assert len(frontier) == len(masks)
             assert frontier == boxes[1 << k], (lam, k)
+
+
+def test_a_level_tests_each_shapes_degree_once(monkeypatch):
+    # One degree test per partition of n, and one per distinct frontier
+    # shape, whatever its padding, over every walk of the level.
+    calls = []
+
+    def counted(x, n):
+        calls.append(x)
+        return _nu2_degree_mask(x, n)
+
+    monkeypatch.setattr("oddmaps.oracle._nu2_degree_mask", counted)
+    for n in range(12, 21):
+        k_max = (n - 1).bit_length() - 1
+        shapes = {
+            _parts_of(y)
+            for lam in odd_partitions(n)
+            for frontier in _frontiers(_mask_of(lam.parts, len(lam)), k_max)
+            for y in frontier
+        }
+        expected = sum(1 for _ in partitions_of(n)) + len(shapes)
+        for _ in range(2):
+            calls.clear()
+            _, mismatches = _check_level(n)
+            assert not mismatches
+            assert len(calls) == expected, n
 
 
 def test_cross_validate_small():

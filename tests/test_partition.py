@@ -219,3 +219,40 @@ def test_partitions_of_enumeration():
     for bad in (2.5, 2.0):
         with pytest.raises(TypeError):
             list(partitions_of(bad))
+
+
+def _partitions_brute(n: int, largest: int) -> list[tuple[int, ...]]:
+    """Every partition of n with parts at most ``largest``, largest first
+    part first: descending lexicographic order by construction."""
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(min(n, largest), 0, -1)
+        for rest in _partitions_brute(n - first, first)
+    ]
+
+
+def _partition_counts(n_max: int) -> list[int]:
+    """p(0), ..., p(n_max) by Euler's pentagonal-number recurrence."""
+    p = [1]
+    for n in range(1, n_max + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p
+
+
+def test_partitions_of_matches_a_recursive_listing_and_eulers_count():
+    for n in range(31):
+        assert [p.parts for p in partitions_of(n)] == _partitions_brute(n, n), n
+    counts = _partition_counts(45)
+    assert counts[:6] == [1, 1, 2, 3, 5, 7] and counts[45] == 89134
+    for n in range(46):
+        assert sum(1 for _ in partitions_of(n)) == counts[n], n
