@@ -24,6 +24,10 @@ them out gives the key of the level below, which holds exactly the odd
 partitions there: a slide is odd exactly when its key is found, and the
 lookup also gives the image's position. Only answers are decoded: the
 misses of :func:`image_misses` and the witness of :func:`commute_verdict`.
+:func:`fiber_size_formula` reads the runner masks of mu's bead mask and
+tests each for goodness on its mask, and the witness check of
+:func:`counterexample_witness` composes both removal orders on the
+witness's bead mask and compares masks, so neither decodes a partition.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -44,9 +48,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .oddity import _known_odd_slides, _level, _peels, d_good, dnk, is_odd
-from .partition import Partition, _bead_mask, _partition_from_mask
-from .quotient import e_quotient, from_core_quotient
+from .oddity import _good, _known_odd_slides, _level, _peels, dnk, is_odd
+from .partition import Partition, _bead_mask, _mask_size, _partition_from_mask
+from .quotient import _runners, from_core_quotient
 
 __all__ = [
     "Fiber",
@@ -141,12 +145,20 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     # 2^k is built only once k is in range.
     if not 0 <= k < lam.size.bit_length():
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
-    slides = _known_odd_slides(x, lam.size, -(1 << k))
+    return _partition_from_mask(_only_removal(x, lam.size, k))
+
+
+def _only_removal(x: int, n: int, k: int) -> int:
+    """The one odd slide of :func:`remove_odd_hook` on the bead mask ``x``
+    of an odd partition of n, with 2^k <= n: a mask of as many beads, whose
+    partition the scan has peeled, so it is odd in turn."""
+    slides = _known_odd_slides(x, n, -(1 << k))
     if len(slides) != 1:
         raise RuntimeError(
-            f"{lam} has {len(slides)} odd 2^{k}-hook removals, expected exactly 1"
+            f"{_partition_from_mask(x)} has {len(slides)} odd 2^{k}-hook removals, "
+            "expected exactly 1"
         )
-    return _partition_from_mask(slides[0])
+    return slides[0]
 
 
 @lru_cache(maxsize=None)
@@ -167,21 +179,24 @@ def _images(n: int, k: int) -> tuple[int, ...]:
     below = _level(n - step).get
     images = []
     for x in _level(n):
-        targets = (x >> step) & ~x
-        found = []
+        # The slide x ^ low ^ (low << step), shifted by step, is
+        # xs ^ low ^ (low >> step).
+        xs = x >> step
+        targets = xs & ~x
+        hits = 0
         while targets:
             low = targets & -targets
             targets ^= low
-            y = x ^ low ^ (low << step)
-            i = below(y >> step)
-            if i is not None:
-                found.append(i)
-        if len(found) != 1:
+            j = below(xs ^ low ^ (low >> step))
+            if j is not None:
+                hits += 1
+                i = j
+        if hits != 1:
             raise RuntimeError(
-                f"{_partition_from_mask(x)} has {len(found)} odd 2^{k}-hook removals, "
+                f"{_partition_from_mask(x)} has {hits} odd 2^{k}-hook removals, "
                 "expected exactly 1"
             )
-        images.append(found[0])
+        images.append(i)
     return tuple(images)
 
 
@@ -216,13 +231,18 @@ def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
 
     The question ignores the order of the row, so the row is read from the
     2^k-quotient of ``mu`` in one pass over its runners, not by walking the
-    tower.
+    tower. Each runner is a bead mask, tested in order by ``oddity._good``
+    with its size from ``partition._mask_size``, and none is decoded.
     """
     _check_fiber_args(mu, n, k)
     d = dnk(n, k).d
     if d == 0:
         return 1 << k
-    return 2 if any(d_good(p, d) for p in e_quotient(mu, 1 << k)) else 0
+    e = 1 << k
+    for r in _runners(_bead_mask(mu, -len(mu) % e), e):
+        if _good(r, _mask_size(r), d):
+            return 2
+    return 0
 
 
 def image_misses(n: int, k: int) -> tuple[Partition, ...]:
@@ -272,10 +292,14 @@ def predicted_commute(inst: CommuteInstance) -> bool:
 
 
 def _composition_disagrees(lam: Partition, inst: CommuteInstance) -> bool:
-    k, l = inst.k, inst.l
-    return remove_odd_hook(remove_odd_hook(lam, l), k) != remove_odd_hook(
-        remove_odd_hook(lam, k), l
-    )
+    """Whether f_k(f_l(lam)) and f_l(f_k(lam)) differ, for an odd ``lam``
+    of n: both composed on its bead mask, which every slide leaves with as
+    many beads, so the two results agree exactly where their masks do."""
+    n, k, l = inst.n, inst.k, inst.l
+    x = _bead_mask(lam)
+    then_k = _only_removal(_only_removal(x, n, l), n - (1 << l), k)
+    then_l = _only_removal(_only_removal(x, n, k), n - (1 << k), l)
+    return then_k != then_l
 
 
 def commute_verdict(inst: CommuteInstance) -> CommuteVerdict:

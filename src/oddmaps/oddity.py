@@ -32,6 +32,12 @@ decoded level. Each partition built so has mu as its only odd
 map f_t; ``maps`` reads fibers at every k from the same scan, and its
 level tables from :func:`_level`. A standing test checks the enumeration
 against the filter over all partitions in ``reference``.
+
+Goodness is decided on bead masks too: :func:`_good` takes a mask and its
+size, such as a runner of a larger mask, peels it for oddness and reads
+its 2^d-core from the runner bead counts as a mask, so :func:`d_good` and
+the fiber-size formula of ``maps`` decode a partition only to report a
+broken invariant.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .partition import Partition, _bead_mask, _partition_from_mask, is_hook_partition, nu2
-from .quotient import e_core
+from .partition import Partition, _bead_mask, _mask_size, _partition_from_mask, nu2
+from .quotient import _core
 
 __all__ = [
     "DnkDecomposition",
@@ -163,22 +169,36 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
 
 def d_good(lam: Partition, d: int) -> bool:
     """Goodness at depth d: size congruent to 2^d - 1 mod 2^(d+1), and the
-    2^d-core is a hook partition. Defined for odd partitions only."""
+    2^d-core is a hook partition. Defined for odd partitions only. Decided
+    on the bead mask of ``lam`` by :func:`_good`."""
     if d < 0:
         raise ValueError("depth must be non-negative")
-    if not is_odd(lam):
+    return _good(_bead_mask(lam), lam.size, d)
+
+
+def _good(x: int, size: int, d: int) -> bool:
+    """:func:`d_good` of the partition of ``size`` whose bead mask is ``x``,
+    with any padding, for d >= 0. The oddness comes from the peel, the core
+    from the runner bead counts (``quotient._core``), and the core is tested
+    for a hook on its mask; the mask is decoded only to report a failure."""
+    if not _peels(x, size):
         raise ValueError("d-good is defined for odd partitions")
-    # Once 2^d > |lam| + 1, |lam| < 2^d - 1 is its own residue mod 2^(d+1),
+    # Once 2^d > size + 1, size < 2^d - 1 is its own residue mod 2^(d+1),
     # so the size condition fails; compared by bit length so no 2^d is built.
-    if d >= (lam.size + 1).bit_length() or lam.size % (2 << d) != (1 << d) - 1:
+    if d >= (size + 1).bit_length() or size % (2 << d) != (1 << d) - 1:
         return False
-    core = e_core(lam, 1 << d)
-    good = is_hook_partition(core)
+    core = _core(x, 1 << d)
+    # A hook (a, 1, ..., 1) has parts of at most 1 below its first row:
+    # below its top bead at most one position is free.
+    below = core ^ (1 << core.bit_length() - 1) if core else 0
+    good = below.bit_length() - below.bit_count() <= 1
     if d <= 2 and not good:
         # For d <= 2 the core condition follows from the size condition.
-        raise RuntimeError(f"core condition failed for d={d} on {lam}")
-    if good and core.size != (1 << d) - 1:
-        raise RuntimeError(f"good partition {lam} has 2^{d}-core of wrong size")
+        raise RuntimeError(f"core condition failed for d={d} on {_partition_from_mask(x)}")
+    if good and _mask_size(core) != (1 << d) - 1:
+        raise RuntimeError(
+            f"good partition {_partition_from_mask(x)} has 2^{d}-core of wrong size"
+        )
     return good
 
 

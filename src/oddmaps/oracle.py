@@ -110,11 +110,16 @@ def _width_tables(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
     nu2(d), and for each bit j of a position below width the selector S_j
     of the positions with that bit set."""
     gaps = tuple((d, (d & -d).bit_length() - 1) for d in range(2, width, 2))
-    selectors = tuple(
-        sum(1 << b for b in range(width) if b >> j & 1)
-        for j in range(max(width - 1, 0).bit_length())
-    )
-    return gaps, selectors
+    selectors = []
+    for j in range(max(width - 1, 0).bit_length()):
+        # S_j repeats 2^j clear bits then 2^j set bits: the block's set
+        # half times (2^(period*reps) - 1) / (2^period - 1), cut to width.
+        half = 1 << j
+        period = half << 1
+        reps = -(-width // period)
+        repeat = ((1 << period * reps) - 1) // ((1 << period) - 1)
+        selectors.append(((1 << half) - 1 << half) * repeat & ((1 << width) - 1))
+    return gaps, tuple(selectors)
 
 
 def _nu2_degree_mask(x: int, n: int) -> int:

@@ -7,9 +7,10 @@ length L slides one bead down by L. The quotient, oddness and map modules
 compute on one bead format, the bead mask: the int whose set bits are the
 beads, which :func:`_bead_mask` encodes from a partition and
 :func:`_partition_from_mask` decodes back, so a slide is one XOR and a
-partition is built once, at the end. A partition is encoded at most once:
-the first encoding is kept on it, a memo of its parts like ``conjugate``,
-and later ones only pad it. A decoded partition does not store its mask,
+partition is built once, at the end; :func:`_mask_size` reads a mask's
+size without building it. A partition is encoded at most once: the first
+encoding is kept on it, a memo of its parts like ``conjugate``, and later
+ones only pad it. A decoded partition does not store its mask,
 since most decoded answers are rendered and never encoded again.
 Character degrees are never materialized: only their 2-adic valuations
 are computed, via Frobenius's formula on beta numbers.
@@ -162,15 +163,32 @@ def _partition_from_mask(x: int) -> Partition:
     """The partition of the bead mask ``x``, with any padding.
 
     A bead's part is the number of free positions below it. The padding is
-    the low run of set bits, whose parts are 0, so it is dropped first;
-    read from the lowest bit, the gaps between the remaining beads then
-    sum to the parts, which come out positive and increasing.
+    the low run of set bits, whose parts are 0, so it is dropped first.
+    Split top bit first, the binary string gives the gaps above each bead;
+    taken from the last, the gaps below the lowest bead, they sum to the
+    parts, which come out positive and increasing.
     """
     if not x & (x + 1):
         # All padding, as on most runners of a large e: the empty partition.
         return _trusted_partition(())
-    gaps = bin(x).rstrip("1")[:1:-1].split("1")[:-1]
+    gaps = bin(x).rstrip("1").split("1")[:0:-1]
     return _trusted_partition(tuple(accumulate(map(len, gaps)))[::-1])
+
+
+def _mask_size(x: int) -> int:
+    """The size of the partition of the bead mask ``x``, with any padding,
+    without decoding it: the sum of the bead positions less L(L - 1)/2 for
+    L beads, since the beads of the empty partition sit at 0, ..., L - 1."""
+    # Shifting the padding out moves every other bead down as far and
+    # leaves the size as it is.
+    x >>= (x ^ (x + 1)).bit_length() - 1
+    m = x.bit_count()
+    total = -(m * (m - 1) // 2)
+    while x:
+        low = x & -x
+        x ^= low
+        total += low.bit_length() - 1
+    return total
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:

@@ -10,7 +10,9 @@ well defined. A regression test pins the convention against a worked
 The beads are held as bead masks (see ``partition``). Residue class r is
 runner r of the e-runner abacus, itself a bead mask whose bit j is bead
 e*j + r: quotient component r is the partition of that mask, and the core
-keeps each runner's bead count, pushed up.
+keeps each runner's bead count, pushed up. A core needs those counts
+alone (:func:`_core`), so :func:`e_core` builds no runner mask and
+decodes no quotient.
 
 Towers iterate the e = 2 decomposition: row k of the quotient tower holds
 2^k partitions, obtained by replacing each entry of row k-1 with its
@@ -87,22 +89,34 @@ def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
     if e < 1:
         raise ValueError("e must be at least 1")
     runners = _runners(_bead_mask(lam, -len(lam) % e), e)
-    core = _pushed_up([r.bit_count() for r in runners], e)
+    core = _partition_from_mask(_pushed_up([r.bit_count() for r in runners], e))
     return CoreQuotient(e=e, core=core, quotient=tuple(map(_partition_from_mask, runners)))
 
 
-def _pushed_up(counts: list[int], e: int) -> Partition:
-    """The e-core whose abacus holds counts[r] beads on runner r, all pushed up."""
+def _pushed_up(counts: list[int], e: int) -> int:
+    """The bead mask of the e-core whose abacus holds counts[r] beads on
+    runner r, all pushed up."""
     # Runner r holds beads r, r + e, ..., r + e*(c - 1): the set bits of
     # (2^(e*c) - 1) / (2^e - 1), shifted up by r.
     ones = (1 << e) - 1
-    return _partition_from_mask(sum(((1 << e * c) - 1) // ones << r for r, c in enumerate(counts)))
+    return sum(((1 << e * c) - 1) // ones << r for r, c in enumerate(counts))
+
+
+def _core(x: int, e: int) -> int:
+    """The bead mask of the e-core of the bead mask ``x``, padded first to
+    a multiple of e beads, from its runner bead counts alone: no runner
+    mask and no quotient component is built."""
+    pad = -x.bit_count() % e
+    digits = bin(x << pad | ((1 << pad) - 1))[:1:-1]  # the lowest bit first
+    return _pushed_up([digits[r::e].count("1") for r in range(e)], e)
 
 
 def e_core(lam: Partition, e: int) -> Partition:
     """The partition left after all hooks of length e are removed: the core
-    of :func:`core_and_quotient`."""
-    return core_and_quotient(lam, e).core
+    of :func:`core_and_quotient`, decoded alone."""
+    if e < 1:
+        raise ValueError("e must be at least 1")
+    return _partition_from_mask(_core(_bead_mask(lam), e))
 
 
 def e_quotient(lam: Partition, e: int) -> tuple[Partition, ...]:

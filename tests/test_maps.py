@@ -22,10 +22,10 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
-from oddmaps.maps import CommuteVerdict, _images
-from oddmaps.oddity import _level
-from oddmaps.partition import _bead_mask
-from oddmaps.quotient import from_core_quotient
+from oddmaps.maps import CommuteVerdict, _composition_disagrees, _images
+from oddmaps.oddity import _level, dnk
+from oddmaps.partition import _bead_mask, _mask_size, _partition_from_mask, is_hook_partition
+from oddmaps.quotient import _runners, e_core, e_quotient, from_core_quotient
 
 P = Partition
 
@@ -350,3 +350,41 @@ def test_commuting_side_cases():
             assert commute_verdict(inst).commutes, inst
         if inst.m < (1 << inst.k):
             assert commute_verdict(inst).commutes, inst
+
+
+def test_fiber_size_formula_matches_its_definition_on_decoded_quotients():
+    # The formula reads mu's runner masks; here the definition is written out
+    # on the decoded 2^k-quotient: 2 when some component has size
+    # 2^d - 1 mod 2^(d+1) and a hook for its 2^d-core, else 0.
+    checked = 0
+    for n in range(2, 41):
+        for k in range(n.bit_length()):
+            if (1 << k) >= n or (d := dnk(n, k).d) == 0:
+                continue
+            for mu in odd_partitions(n - (1 << k)):
+                components = e_quotient(mu, 1 << k)
+                assert all(map(is_odd, components)), (mu, k)
+                good = any(
+                    p.size % (2 << d) == (1 << d) - 1 and is_hook_partition(e_core(p, 1 << d))
+                    for p in components
+                )
+                assert fiber_size_formula(mu, n, k) == (2 if good else 0), (mu, n, k)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_mask_composition_matches_the_remove_odd_hook_composition():
+    for inst in commute_instances(20):
+        for lam in odd_partitions(inst.n):
+            assert _composition_disagrees(lam, inst) == compositions_disagree(lam, inst), (lam, inst)
+
+
+def test_mask_size_matches_the_decoded_size():
+    for n in range(31):
+        for x in _level(n):
+            for pad in range(4):
+                y = x << pad | ((1 << pad) - 1)
+                assert _mask_size(y) == _partition_from_mask(y).size == n, (x, pad)
+                for e in (2, 4):
+                    for r in _runners(y, e):
+                        assert _mask_size(r) == _partition_from_mask(r).size, (x, pad, e)

@@ -15,10 +15,11 @@ from oddmaps.oracle import (
     _nu2_degree_mask,
     _parts_of,
     _toggle_step,
+    _width_tables,
     skew_syt_parity,
     unique_odd_constituent,
 )
-from oddmaps.partition import beta_set, nu2_degree
+from oddmaps.partition import beta_set, nu2, nu2_degree
 
 P = Partition
 
@@ -73,6 +74,17 @@ def test_mask_degree_valuation_matches_nu2_degree():
             x = _mask_of(lam.parts, len(lam) + padding)
             assert _nu2_degree_mask(x, 40) == nu2_degree(lam) == 0, (lam, padding)
     assert _nu2_degree_mask(0, 0) == _nu2_degree_mask(0b111, 0) == 0
+
+
+def test_width_selectors_match_the_per_position_form():
+    # S_j is built by arithmetic; the per-position sum is its definition.
+    for width in range(300):
+        selectors = tuple(
+            sum(1 << b for b in range(width) if b >> j & 1)
+            for j in range(max(width - 1, 0).bit_length())
+        )
+        gaps = tuple((d, nu2(d)) for d in range(2, width, 2))
+        assert _width_tables(width) == (gaps, selectors), width
 
 
 def test_skew_parity_examples():
