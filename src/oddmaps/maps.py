@@ -28,6 +28,9 @@ misses of :func:`image_misses` and the witness of :func:`commute_verdict`.
 tests each for goodness on its mask, and the witness check of
 :func:`counterexample_witness` composes both removal orders on the
 witness's bead mask and compares masks, so neither decodes a partition.
+A constructed witness is one bead mask: each lift from the instance below
+interleaves the child's mask with a runner of pushed-up beads, so the
+witness is decoded once, at the end, and verified once.
 ``oddmaps verify`` checks the route against the branching oracle. The
 tests also check it against two second routes kept in ``reference``:
 exhaustive hook enumeration with an oddness filter, and tower surgery
@@ -50,7 +53,7 @@ from functools import lru_cache
 
 from .oddity import _good, _known_odd_slides, _level, _peels, dnk, is_odd
 from .partition import Partition, _bead_mask, _mask_size, _partition_from_mask
-from .quotient import _runners, from_core_quotient
+from .quotient import _from_runners, _runners
 
 __all__ = [
     "Fiber",
@@ -65,9 +68,6 @@ __all__ = [
     "commute_verdict",
     "counterexample_witness",
 ]
-
-_EMPTY = Partition(())
-
 
 class Fiber(namedtuple("Fiber", "mu n k members")):
     """All odd partitions of n that restrict to ``mu`` by one 2^k-hook removal.
@@ -331,12 +331,13 @@ def counterexample_witness(inst: CommuteInstance) -> Partition:
     2^l; for k >= 1 it is lifted from a witness at (floor(n/2); k-1, l-1)
     as the partition with 2-quotient (witness, empty) and the parity-forced
     2-core. Lifts that would land on the sporadic instance (6; 0, 1) use
-    pinned witnesses at (12; 1, 2) and (13; 1, 2) instead. The returned
-    partition is verified before being handed back.
+    pinned witnesses at (12; 1, 2) and (13; 1, 2) instead. The whole
+    construction is one bead mask (:func:`_witness_mask`): it is decoded
+    once, and only the returned partition is verified, once.
     """
     if predicted_commute(inst):
         raise ValueError("no counterexample exists for a commuting instance")
-    lam = _construct_witness(inst)
+    lam = _partition_from_mask(_witness_mask(inst.n, inst.k, inst.l))
     if lam.size != inst.n or not is_odd(lam):
         raise RuntimeError(f"constructed witness {lam} is not an odd partition of {inst.n}")
     if not _composition_disagrees(lam, inst):
@@ -344,20 +345,27 @@ def counterexample_witness(inst: CommuteInstance) -> Partition:
     return lam
 
 
-def _construct_witness(inst: CommuteInstance) -> Partition:
-    n, k, l = inst.n, inst.k, inst.l
+def _witness_mask(n: int, k: int, l: int) -> int:
+    """A bead mask, with some padding, of the witness of
+    :func:`counterexample_witness` at (n; k, l), unverified.
+
+    For k >= 1 the child's mask x at (floor(n/2); k-1, l-1) is runner 0 of
+    the 2-runner abacus, padded by two beads so that it holds at least two;
+    runner 1 holds as many beads as runner 0 (2-core empty, n even) or two
+    fewer (2-core (1), n odd), all pushed up, which is the empty partition.
+    One interleave gives the lift; no child is decoded or checked.
+    """
     if k == 0:
-        t, m = inst.t, inst.m
-        two_l = 1 << l
+        t = n.bit_length() - 1
+        m, two_l = n - (1 << t), 1 << l
         if two_l < m:
-            return Partition((m, m) + (1,) * ((1 << t) - m))
+            return _bead_mask(Partition((m, m) + (1,) * ((1 << t) - m)))
         if m < two_l:
-            return Partition((n - two_l, m + 1) + (1,) * (two_l - m - 1))
+            return _bead_mask(Partition((n - two_l, m + 1) + (1,) * (two_l - m - 1)))
         if l >= 2:
-            return Partition((1 << t, two_l - 1, 1))
-        return Partition(((1 << t) - 2, 2, 2))
+            return _bead_mask(Partition((1 << t, two_l - 1, 1)))
+        return _bead_mask(Partition(((1 << t) - 2, 2, 2)))
     if (n // 2, k - 1, l - 1) == (6, 0, 1):
-        return Partition((6, 4, 2)) if n % 2 == 0 else Partition((6, 4, 3))
-    child = CommuteInstance(n=n // 2, k=k - 1, l=l - 1)
-    core = _EMPTY if n % 2 == 0 else Partition((1,))
-    return from_core_quotient(core, (counterexample_witness(child), _EMPTY), 2)
+        return _bead_mask(Partition((6, 4, 2 + n % 2)))
+    x = _witness_mask(n // 2, k - 1, l - 1) << 2 | 3
+    return _from_runners([x, (1 << x.bit_count() - 2 * (n % 2)) - 1], 2)

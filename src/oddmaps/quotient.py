@@ -76,12 +76,14 @@ def _runners(x: int, e: int) -> list[int]:
     return [int(digits[r::e][::-1] or "0", 2) for r in range(e)]
 
 
-def _from_runners(runners: list[int], e: int) -> Partition:
-    """The partition whose e-runner abacus holds the bead masks ``runners``:
-    the inverse of :func:`_runners`."""
+def _from_runners(runners: list[int], e: int) -> int:
+    """The bead mask whose e-runner abacus holds the bead masks ``runners``,
+    interleaved so that bit j of runner r is bead e*j + r: the inverse of
+    :func:`_runners`. Nothing is decoded; the mask carries whatever padding
+    the runners do."""
     width = max(r.bit_length() for r in runners)
     columns = zip(*(format(r, f"0{width}b")[::-1] for r in runners))
-    return _partition_from_mask(int("".join(map("".join, columns))[::-1], 2))
+    return int("".join(map("".join, columns))[::-1], 2)
 
 
 def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
@@ -140,7 +142,8 @@ def from_core_quotient(
     counts = [r.bit_count() for r in _runners(_bead_mask(core, -len(core) % e), e)]
     # Padding by e more beads puts one more bead on every runner.
     extra = max(0, *(len(q) - c for c, q in zip(counts, quotient)))
-    return _from_runners([_bead_mask(q, c + extra - len(q)) for c, q in zip(counts, quotient)], e)
+    runners = [_bead_mask(q, c + extra - len(q)) for c, q in zip(counts, quotient)]
+    return _partition_from_mask(_from_runners(runners, e))
 
 
 def _descend(

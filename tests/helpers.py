@@ -66,6 +66,13 @@ def odd_by_fiber_walk(rng: random.Random, n: int) -> Partition:
     return lam
 
 
+def vm_hwm_mb() -> float:
+    """This process's peak resident memory in MB: ``VmHWM`` of
+    ``/proc/self/status``, so Linux only."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+
 def recording_executor(created: list[int]) -> type:
     """A stand-in for ``ProcessPoolExecutor`` that starts no process: it
     appends each pool size asked for to ``created`` and maps in-process."""

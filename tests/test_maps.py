@@ -22,6 +22,7 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
+from oddmaps import maps
 from oddmaps.maps import CommuteVerdict, _composition_disagrees, _images
 from oddmaps.oddity import _level, dnk
 from oddmaps.partition import _bead_mask, _mask_size, _partition_from_mask, is_hook_partition
@@ -324,6 +325,39 @@ def test_counterexample_witness_examples():
     assert compositions_disagree(lifted, CommuteInstance(26, 1, 3))
     with pytest.raises(ValueError, match="commuting instance"):
         counterexample_witness(CommuteInstance(6, 0, 1))
+
+
+def test_each_witness_is_verified_once(monkeypatch):
+    # A witness at k >= 1 is lifted from the one at (floor(n/2); k-1, l-1);
+    # only the returned partition is an answer, so only it is checked.
+    checked = []
+
+    def counting(lam, inst):
+        checked.append(inst)
+        return _composition_disagrees(lam, inst)
+
+    monkeypatch.setattr(maps, "_composition_disagrees", counting)
+    instances = [inst for inst in commute_instances(63) if not predicted_commute(inst)]
+    for inst in instances:
+        counterexample_witness(inst)
+    assert len(instances) == 401
+    assert checked == instances
+
+
+def test_witness_lift_is_the_partition_with_that_2_quotient_and_2_core():
+    # The lift written out: 2-quotient (child witness, empty) and the 2-core
+    # that the parity of n forces, rebuilt by from_core_quotient. The two
+    # pins at (12; 1, 2) and (13; 1, 2) stand in for a lift from (6; 0, 1).
+    lifts = 0
+    for inst in commute_instances(256):
+        n, k, l = inst
+        if k == 0 or predicted_commute(inst) or (n // 2, k - 1, l - 1) == (6, 0, 1):
+            continue
+        child = counterexample_witness(CommuteInstance(n // 2, k - 1, l - 1))
+        core = P(()) if n % 2 == 0 else P((1,))
+        assert counterexample_witness(inst) == from_core_quotient(core, (child, P(())), 2), inst
+        lifts += 1
+    assert lifts > 0
 
 
 def test_hook_case_formula():
