@@ -15,15 +15,17 @@ verify      run the branching-parity cross-validation sweep
 The commands are the rows of one table, ``_COMMANDS``: each names its help
 text, its input flags, the value ``ODDMAPS_MAX_N`` caps and a function from
 the parsed arguments to one record, a dict of plain values and partitions.
-``main`` alone applies the cap, renders the record as text (the default),
+``main`` alone applies the cap, writes the record as text (the default),
 ``--format json`` or ``--format csv`` (the record's keys are the JSON keys)
-and sets the exit code. The JSON layout is fixed: two-space indent, each
-partition as its list of parts, byte-identical to ``json.dumps(record,
-indent=2)`` with each partition replaced by its parts. Exit codes: 0 on
-success, 1 when a verify sweep found mismatches, 2 on usage errors
-(including ``verify --jobs`` below 1) and when ``--out`` cannot be written,
-3 when an internal invariant check failed (the error and the command line
-that reproduces it go to stderr).
+and sets the exit code. Every format writes into one sink, stdout or the
+``--out`` file, piece by piece as it renders the record, so no rendered
+output is held whole in memory. The JSON layout is fixed: two-space
+indent, each partition as its list of parts, byte-identical to
+``json.dumps(record, indent=2)`` with each partition replaced by its parts.
+Exit codes: 0 on success, 1 when a verify sweep found mismatches, 2 on
+usage errors (including ``verify --jobs`` below 1) and when ``--out``
+cannot be written, 3 when an internal invariant check failed (the error
+and the command line that reproduces it go to stderr).
 Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 ``[]`` is the empty partition. ``ODDMAPS_MAX_N`` (default 40) caps ``n`` for
 ``odd-list``, ``fk``, ``fiber``, ``image``, ``commute`` and ``witness``, the
@@ -41,11 +43,12 @@ fresh one.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _json_str
+from collections.abc import Callable, Iterable
+from itertools import chain
+from json import dumps as _json_scalar
 from operator import attrgetter
 
 from .maps import (
@@ -82,13 +85,13 @@ def parse_partition_text(text: str) -> Partition:
 
 def render_kdata(data: KData) -> str:
     """Centered triangular rendering of a k-data table, one row per line."""
-    return _centered(data.core_rows + (data.quotient_row,))
+    return "\n".join(_centered(data.core_rows + (data.quotient_row,)))
 
 
-def _centered(rows: tuple[tuple[Partition, ...], ...]) -> str:
+def _centered(rows: tuple[tuple[Partition, ...], ...]) -> list[str]:
     texts = [" ".join(str(p) for p in row) for row in rows]
     width = max(len(t) for t in texts)
-    return "\n".join(" " * ((width - len(t)) // 2) + t for t in texts)
+    return [" " * ((width - len(t)) // 2) + t for t in texts]
 
 
 def _partition_arg(text: str) -> Partition:
@@ -181,40 +184,42 @@ def _verify(args: argparse.Namespace) -> dict[str, object]:
     return {"report": record}
 
 
-def _text(record: dict[str, object]) -> str:
-    """One member per line for a record with ``members``, else its last value."""
+def _text(record: dict[str, object]) -> Iterable[str]:
+    """One member per line for a record with ``members`` (one blank line
+    when there are none), else its last value."""
     if "members" in record:
-        return "\n".join(str(p) for p in record["members"])
+        return map(str, record["members"]) if record["members"] else [""]
     last = list(record.values())[-1]
-    return ("true" if last else "false") if isinstance(last, bool) else str(last)
+    return [("true" if last else "false") if isinstance(last, bool) else str(last)]
 
 
-def _rows(record: dict[str, object]) -> list[list[object]]:
-    """A ``partition`` column for a record with ``members``, else one header
-    row of keys over one row of values."""
+def _rows(record: dict[str, object]) -> Iterable[list[object]]:
+    """A ``partition`` column for a record with ``members``, made row by
+    row, else one header row of keys over one row of values."""
     if "members" in record:
-        return [["partition"]] + [[str(p)] for p in record["members"]]
+        return chain([["partition"]], ([str(p)] for p in record["members"]))
     # csv writes None as an empty field.
     return [list(record), [str(v) if isinstance(v, Partition) else v for v in record.values()]]
 
 
-def _commute_text(record: dict[str, object]) -> str:
-    text = "commutes: " + ("true" if record["commutes"] else "false")
-    return text if record["witness"] is None else f"{text}\nwitness: {record['witness']}"
+def _commute_text(record: dict[str, object]) -> list[str]:
+    lines = ["commutes: " + ("true" if record["commutes"] else "false")]
+    return lines if record["witness"] is None else lines + [f"witness: {record['witness']}"]
 
 
-def _verify_text(record: dict[str, object]) -> str:
+def _verify_text(record: dict[str, object]) -> list[str]:
     report = record["report"]
     lines = [f"checks run: {report['checks_run']}", f"mismatches: {len(report['mismatches'])}"]
     for m in report["mismatches"]:
         lines.append(f"  {m['lambda']} k={m['k']}: expected {m['expected']}, got {m['got']}")
-    return "\n".join(lines)
+    return lines
 
 
 # One row of the command table: the help text; the input flags, in order; the
 # dotted attribute of the parsed arguments that ODDMAPS_MAX_N bounds, or None
 # where the command is uncapped; the function from the parsed arguments to the
-# command's one record; and that record's text and CSV layouts.
+# command's one record; and that record's text layout, its lines, and its CSV
+# layout, its rows.
 _Command = namedtuple("_Command", "help inputs cap record text rows", defaults=(_text, _rows))
 
 
@@ -233,7 +238,7 @@ _COMMANDS = {
         "render the k-data table of a partition", "--lambda --k", "lam.size", _tower,
         # One line, or one CSV row, per tower row.
         text=lambda r: _centered(r["result"]),
-        rows=lambda r: [[str(p) for p in row] for row in r["result"]],
+        rows=lambda r: ([str(p) for p in row] for row in r["result"]),
     ),
     "verify": _Command(
         "cross-validate against the branching oracle", "--max-n --jobs", "max_n", _verify,
@@ -244,67 +249,67 @@ _COMMANDS = {
 }
 
 
-def _json(value: object, newline: str = "\n") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it, each partition
-    as its list of parts; ``newline`` is the line break and indent before
+def _json(value: object, write: Callable[[str], object], newline: str = "\n") -> None:
+    """Write ``value`` through ``write`` as ``json.dumps(value, indent=2)``
+    lays it out, each partition as its list of parts, piece by piece as it
+    is rendered; ``newline`` is the line break and indent before
     ``value``'s closing bracket.
 
     Records hold dicts with string keys, lists, tuples, partitions, ints,
     bools, None and strings. The standard encoder runs in pure Python once
     ``indent`` is set and calls a ``default`` for every partition; this
-    writer joins each partition's parts in one call.
+    writer joins each partition's parts in one call and leaves only keys
+    and scalars to the encoder.
     """
     inner = newline + "  "
     if isinstance(value, Partition):
-        if not value.parts:
-            return "[]"
-        return "[" + inner + ("," + inner).join(map(str, value.parts)) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_json_str(key) + ": " + _json(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"no JSON layout for {type(value).__name__}")
+        parts = value.parts
+        write("[" + inner + ("," + inner).join(map(str, parts)) + newline + "]" if parts else "[]")
+    elif isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
+        start, end = "{}" if keyed else "[]"
+        sep = start + inner
+        for item in value:
+            write(sep + _json_scalar(item) + ": " if keyed else sep)
+            _json(value[item] if keyed else item, write, inner)
+            sep = "," + inner
+        write(newline + end if value else start + end)
+    elif value is None or isinstance(value, (str, int)):
+        write(_json_scalar(value))
+    else:
+        raise TypeError(f"no JSON layout for {type(value).__name__}")
 
 
 def _emit(args: argparse.Namespace, record: dict[str, object], command: _Command) -> None:
-    """Render a command's record in the requested format and write it out.
+    """Write a command's record in the requested format to its one sink,
+    the ``--out`` file or else stdout, as it is rendered.
 
     JSON (:func:`_json`) writes each partition as its list of parts; text
-    and CSV follow the command's layouts.
+    writes the command's text layout line by line, and CSV its rows one by
+    one. Only a failure to open or write ``--out`` becomes a usage error.
     """
-    if args.format == "json":
-        rendered = _json(record)
-    elif args.format == "csv":
-        # Imported here: only a CSV render pays for the module.
-        import csv
 
-        buf = io.StringIO()
-        csv.writer(buf).writerows(command.rows(record))
-        rendered = buf.getvalue().rstrip("\n")
-    else:
-        rendered = command.text(record)
+    def write_to(sink):
+        if args.format == "json":
+            _json(record, sink.write)
+            sink.write("\n")
+        elif args.format == "csv":
+            # Imported here: only a CSV render pays for the module.
+            import csv
+
+            csv.writer(sink).writerows(command.rows(record))
+        else:
+            for line in command.text(record):
+                sink.write(line + "\n")
+
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
+            with open(args.out, "w", encoding="utf-8") as sink:
+                write_to(sink)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
-        print(rendered)
+        write_to(sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .oddity import _good, _known_odd_slides, _level, _peels, dnk, is_odd
+from .oddity import _good, _known_odd_slides, _level, dnk, is_odd
 from .partition import Partition, _bead_mask, _mask_size, _partition_from_mask
 from .quotient import _from_runners, _runners
 
@@ -134,18 +134,17 @@ def remove_odd_hook(lam: Partition, k: int) -> Partition:
     Accepts 2^k equal to the size of ``lam`` (the result is then empty), so
     that compositions with 2^k + 2^l = n stay inside the domain. Each
     2^k-hook is a slide of a bead b to a free position b - 2^k; exactly one
-    slide may leave an odd partition. The digit peel :func:`_peels` of the
-    bead mask of ``lam`` decides its oddness, and the slide scan
-    :func:`_known_odd_slides` reuses that mask to keep the one slide whose
-    result peels.
+    slide may leave an odd partition. :func:`is_odd` decides the oddness of
+    ``lam``, peeling it only if no call has before, and the slide scan
+    :func:`_known_odd_slides` reads the bead mask kept on ``lam`` to keep
+    the one slide whose result peels.
     """
-    x = _bead_mask(lam)
-    if not _peels(x, lam.size):
+    if not is_odd(lam):
         raise ValueError("the map is defined for odd partitions")
     # 2^k is built only once k is in range.
     if not 0 <= k < lam.size.bit_length():
         raise ValueError("k must be non-negative" if k < 0 else "2^k exceeds the partition size")
-    return _partition_from_mask(_only_removal(x, lam.size, k))
+    return _partition_from_mask(_only_removal(_bead_mask(lam), lam.size, k))
 
 
 def _only_removal(x: int, n: int, k: int) -> int:

@@ -125,9 +125,12 @@ def is_odd(lam: Partition) -> bool:
 
     The binary digits 2^t of the size are peeled off as 2^t-hooks, top
     first (:func:`_peels`): ``lam`` is odd iff every digit comes off.
-    The empty partition counts as odd.
+    The empty partition counts as odd. ``lam`` is peeled at most once: the
+    verdict is kept on it.
     """
-    return _peels(_bead_mask(lam), lam.size)
+    if lam._odd is None:
+        lam._odd = _peels(_bead_mask(lam), lam.size)
+    return lam._odd
 
 
 @lru_cache(maxsize=None)

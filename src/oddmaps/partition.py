@@ -40,8 +40,10 @@ class Partition:
     """Weakly decreasing positive integer parts; () is the empty partition."""
 
     # The unpadded bead mask, stored on the instance by the first
-    # _bead_mask call.
+    # _bead_mask call, and the oddness verdict, stored by the first
+    # oddity.is_odd call.
     _beads: int | None = None
+    _odd: bool | None = None
 
     def __init__(self, parts: Iterable[int] = ()):
         # operator.index rejects a non-integral part instead of truncating it.

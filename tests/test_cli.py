@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -255,6 +257,12 @@ def _json_dumps(record):
     return json.dumps(record, indent=2, default=lambda p: list(p.parts))
 
 
+def _json_written(record):
+    buf = io.StringIO()
+    _json(record, buf.write)
+    return buf.getvalue()
+
+
 # Every command at a small n, with empty partitions in odd-list, fk and
 # tower, an empty members tuple, both booleans and a None witness.
 RECORDS = [
@@ -279,7 +287,7 @@ RECORDS = [
 @pytest.mark.parametrize("argv", RECORDS, ids=" ".join)
 def test_json_writer_matches_json_dumps(argv):
     record = _record(*argv)
-    assert _json(record) == _json_dumps(record)
+    assert _json_written(record) == _json_dumps(record)
 
 
 def test_json_writer_on_empty_values_and_nested_tuples():
@@ -294,7 +302,7 @@ def test_json_writer_on_empty_values_and_nested_tuples():
         tower,
         {"rows": ((), (empty,), [P((2, 1)), empty])},
     ):
-        assert _json(record) == _json_dumps(record), record
+        assert _json_written(record) == _json_dumps(record), record
 
 
 def test_json_writer_escapes_strings_as_json_does(monkeypatch):
@@ -310,9 +318,9 @@ def test_json_writer_escapes_strings_as_json_does(monkeypatch):
     monkeypatch.setattr("oddmaps.cli.cross_validate", lambda n, jobs=1: fake)
     record = _record("verify", "--max-n", "4")
     assert record["report"]["mismatches"][0]["expected"] == text
-    assert _json(record) == _json_dumps(record)
+    assert _json_written(record) == _json_dumps(record)
     with pytest.raises(TypeError):
-        _json({"x": 1.5})
+        _json({"x": 1.5}, io.StringIO().write)
 
 
 def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
@@ -381,6 +389,47 @@ def test_out_write_failure_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert not target.exists()
+
+
+# The first row of RECORDS for each command.
+SMALL = {argv[0]: argv for argv in reversed(RECORDS)}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_out_file_holds_the_bytes_stdout_gets(tmp_path, capsysbinary, name, fmt):
+    argv = [*SMALL[name], "--format", fmt]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == printed
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_output_is_written_as_it_is_rendered(monkeypatch, fmt):
+    # At least one write per member of the 128 odd partitions of 24, none
+    # longer than one partition's rendering (at most 24 parts, one a line in
+    # JSON), so no format builds the whole output before it writes.
+    pieces = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append))
+    assert main(["odd-list", "--n", "24", "--format", fmt]) == 0
+    assert len(pieces) >= 128
+    assert max(map(len, pieces)) < 300
+
+
+def test_stdout_write_failure_propagates(monkeypatch):
+    # Only --out maps a write failure to exit 2; a closed pipe on stdout is
+    # left to the interpreter, as print leaves it.
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    for fmt in ("text", "json", "csv"):
+        with pytest.raises(BrokenPipeError):
+            main(["odd-list", "--n", "6", "--format", fmt])
 
 
 def test_verify_jobs_clamped_without_starting_processes(capsys, monkeypatch):

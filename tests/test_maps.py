@@ -1,5 +1,6 @@
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -22,9 +23,10 @@ from oddmaps import (
     remove_odd_hook,
     remove_odd_hook_via_tower,
 )
-from oddmaps import maps
+from oddmaps import maps, oddity
 from oddmaps.maps import CommuteVerdict, _composition_disagrees, _images
 from oddmaps.oddity import _level, dnk
+from oddmaps.oracle import _check_level
 from oddmaps.partition import _bead_mask, _mask_size, _partition_from_mask, is_hook_partition
 from oddmaps.quotient import _runners, e_core, e_quotient, from_core_quotient
 
@@ -87,6 +89,33 @@ def test_exactly_one_odd_removal():
             while (1 << k) < n:
                 assert len(odd_hook_removals(lam, k)) == 1
                 k += 1
+
+
+def test_each_partition_is_peeled_once():
+    # The oracle's pass over n = 17 peels each of the 297 partitions once
+    # for its oddness check and 126 slide candidates in the map's scans.
+    # The map reads the verdict kept on each of the 16 odd partitions
+    # instead of peeling it again at each of its five k (80 more peels).
+    # Counted by code object, so a peel is seen under any imported name.
+    code = oddity._peels.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        checks, mismatches = _check_level(17)
+    finally:
+        sys.setprofile(None)
+    assert (checks, mismatches) == (377, [])
+    assert calls == 423
+    lam = P((5, 4, 2, 2, 1, 1))
+    assert lam._odd is None
+    assert is_odd(lam) and lam._odd is True
+    assert not is_odd(P((2, 1)))
 
 
 def test_level_table_matches_the_map_at_a_large_level():
