@@ -22,10 +22,12 @@ and sets the exit code. Every format writes into one sink, stdout or the
 output is held whole in memory. The JSON layout is fixed: two-space
 indent, each partition as its list of parts, byte-identical to
 ``json.dumps(record, indent=2)`` with each partition replaced by its parts.
-Exit codes: 0 on success, 1 when a verify sweep found mismatches, 2 on
-usage errors (including ``verify --jobs`` below 1) and when ``--out``
-cannot be written, 3 when an internal invariant check failed (the error
-and the command line that reproduces it go to stderr).
+Exit codes: 0 on success, 1 when a verify sweep found mismatches or
+stdout's reader closed it before the output ended (``oddmaps ... | head``;
+nothing goes to stderr), 2 on usage errors (including ``verify --jobs``
+below 1) and when ``--out`` cannot be written, 3 when an internal
+invariant check failed (the error and the command line that reproduces it
+go to stderr).
 Partition literals are bracketed comma lists such as ``[5,4,2,2,1,1]``;
 ``[]`` is the empty partition. ``ODDMAPS_MAX_N`` (default 40) caps ``n`` for
 ``odd-list``, ``fk``, ``fiber``, ``image``, ``commute`` and ``witness``, the
@@ -365,7 +367,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader closed it early (``oddmaps ... | head``). The
+        # null device takes the interpreter's final flush of what is still
+        # buffered, which would otherwise fail again at exit on stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 Everything here is computed from degree parities and skew standard
 tableau counts alone. The quotient machinery is deliberately never
 imported: a convention bug there cannot cancel against itself when the
-same answer is recomputed from branching parities. Only the raw partition
-primitives are shared: the Partition type, the enumeration of all
-partitions and the trusted constructor. The bead masks below are this
-module's own code, shared with nothing in ``oddity``.
+same answer is recomputed from branching parities. Only two partition
+primitives are shared: the Partition type and the enumeration of all
+partitions. A shape this module decodes is built through Partition's own
+checks, not the library's unchecked constructor. The bead masks below are
+this module's own code, shared with nothing in ``oddity``.
 
 Multiplicities in an iterated one-box restriction are counted by standard
 tableaux of the skew shape, so the map being certified must send an odd
@@ -45,7 +46,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .partition import Partition, _trusted_partition, partitions_of
+from .partition import Partition, partitions_of
 
 __all__ = [
     "Mismatch",
@@ -255,19 +256,22 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
     if _nu2_degree_mask(x, lam.size) != 0:
         raise ValueError("defined for odd-degree partitions")
     *_, frontier = _frontiers(x, k)
-    return _trusted_partition(_parts_of(_odd_survivor(lam, k, frontier, {})))
+    return Partition(_parts_of(_odd_survivor(lam, k, frontier, {})))
 
 
 def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     """The checks of one level of :func:`cross_validate`, and its mismatches.
 
-    Every partition of n takes one degree test, against ``is_odd``; every
-    odd one takes one walk, read at each depth 2^k < n, against the map.
-    The walks of a level meet the same shapes again and again, so the
-    level keeps one memo of their degree parities (see
-    :func:`_odd_survivor`) and tests each shape once. The memo is local:
-    it dies with the call, so no level holds another's shapes and a
-    worker process carries nothing from one level to the next.
+    One loop over the partitions of n: each takes one degree test, against
+    ``is_odd``, and one of odd degree then takes its walk at once, read at
+    each depth 2^k < n, against the map. No partition or mask is kept once
+    its checks are done, so mismatches come in enumeration order. The
+    walks of a level meet the same shapes again and again, so the level
+    keeps one memo of their degree parities (see :func:`_odd_survivor`)
+    and tests each shape once. The memo is all that
+    outlives a partition, and it is local: it dies with the call, so no
+    level holds another's shapes and a worker process carries nothing from
+    one level to the next.
     """
     # Imports deferred so the oracle itself stays free of tower machinery.
     from .maps import remove_odd_hook
@@ -275,24 +279,22 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
 
     checks = 0
     mismatches: list[Mismatch] = []
-    odd_by_degree = []
     odd: dict[int, bool] = {}
+    # The largest k with 2^k < n; -1 at n = 1, where no k is checked.
+    k_max = (n - 1).bit_length() - 1
     for lam in partitions_of(n):
-        x = _mask_of(lam.parts, len(lam))
+        m = len(lam)
+        x = _mask_of(lam.parts, m)
         expected = _nu2_degree_mask(x, n) == 0
         got = is_odd(lam)
         checks += 1
         if expected != got:
             mismatches.append(Mismatch(lam=lam, k=None, expected=expected, got=got))
-        if expected:
-            odd_by_degree.append((lam, x))
-    # The largest k with 2^k < n; -1 at n = 1, where no k is checked.
-    k_max = (n - 1).bit_length() - 1
-    for lam, x in odd_by_degree:
-        m = len(lam)
-        # One walk per lam, from the mask of the degree pass, serves every
-        # k. The map's answer is compared as a bead mask with m beads, and
-        # a survivor is decoded only to report a mismatch.
+        if not expected:
+            continue
+        # One walk per odd lam, from the mask of its degree test, serves
+        # every k. The map's answer is compared as a bead mask with m beads,
+        # and a survivor is decoded only to report a mismatch.
         for k, frontier in enumerate(_frontiers(x, k_max)):
             checks += 1
             try:
@@ -310,7 +312,7 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
                     and _mask_of(got_mu.parts, m) == survivor
                 ):
                     continue
-                expected_mu = _trusted_partition(_parts_of(survivor))
+                expected_mu = Partition(_parts_of(survivor))
             mismatches.append(Mismatch(lam=lam, k=k, expected=expected_mu, got=got_mu))
     return checks, mismatches
 
@@ -318,6 +320,10 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
 def cross_validate(n_max: int, jobs: int = 1) -> ParityReport:
     """Sweep all n up to ``n_max``: oddness parity on every partition, and
     the odd-constituent comparison on every odd partition and every k.
+
+    The report's mismatches run by level, in ascending n, and within a
+    level in enumeration order: a partition's oddness mismatch (k None)
+    before its map mismatches in ascending k.
 
     Levels run in at most ``jobs`` worker processes, never more than there
     are levels or CPUs: the pool starts all of its workers at once. The

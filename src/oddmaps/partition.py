@@ -135,7 +135,11 @@ def partition_from_beta(beta: Iterable[int]) -> Partition:
 
 def _trusted_partition(parts: tuple[int, ...]) -> Partition:
     """The :class:`Partition` of ``parts``, a tuple of ints the library
-    built weakly decreasing and positive, without re-checking it."""
+    built weakly decreasing and positive, without re-checking it.
+
+    Its callers are in this module only: the enumeration and the mask
+    decoder. The oracle builds what it decodes through the checked
+    constructor, so it shares no unchecked path with the code it checks."""
     lam = Partition.__new__(Partition)
     lam.parts = parts
     lam.size = sum(parts)

@@ -77,6 +77,22 @@ def test_oracle_never_imports_the_quotient_machinery():
     assert top_level_relative == {"partition"}
 
 
+def test_oracle_shares_only_the_partition_type_and_enumeration():
+    # The oracle builds what it decodes through the checked constructor, so
+    # the unchecked one stays inside the partition module.
+    tree = ast.parse(Path(oddmaps.oracle.__file__).read_text())
+    from_partition = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "partition"
+        for alias in node.names
+    ]
+    assert sorted(from_partition) == ["Partition", "partitions_of"]
+    for path in Path(oddmaps.__file__).parent.glob("*.py"):
+        if path.name != "partition.py":
+            assert "_trusted_partition" not in path.read_text(), path.name
+
+
 def test_production_never_imports_the_reference_routes():
     imported = {m: _imported_names(ast.parse(Path(m.__file__).read_text())) for m in PRODUCTION}
     for module, names in imported.items():

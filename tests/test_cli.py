@@ -14,6 +14,7 @@ from helpers import random_partition, recording_executor
 from oddmaps import Partition, k_data
 from oddmaps.cli import _COMMANDS, _PARSER, _json, main, parse_partition_text, render_kdata
 from oddmaps.oracle import Mismatch, ParityReport
+from oddmaps.partition import _bead_mask
 
 P = Partition
 
@@ -542,6 +543,52 @@ def test_malformed_sweep_cap_names_the_variable(capsys, monkeypatch):
     assert code == 0 and out.strip() != ""
     code, _ = run_cli(capsys, "odd-list", "--n", "13")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(fmt):
+    # About 1 MB of output, more than a pipe buffer holds, so the command
+    # is still writing when the reader (as ``head -1`` would) closes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oddmaps", "odd-list", "--n", "63", "--format", fmt],
+        env={**os.environ, "PYTHONPATH": path, "ODDMAPS_MAX_N": "63"},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, "")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_internal_invariant_failures_in_the_map_and_the_witness_exit_3(capsys, monkeypatch):
+    # _only_removal requires exactly one odd slide.
+    monkeypatch.setattr("oddmaps.maps._known_odd_slides", lambda x, n, step: [x, x])
+    argv = ["fk", "--n", "15", "--k", "2", "--lambda", "[5,4,2,2,1,1]"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "odd 2^2-hook removals, expected exactly 1" in captured.err
+    assert "command: oddmaps fk --n 15 --k 2 --lambda '[5,4,2,2,1,1]'" in captured.err
+    monkeypatch.undo()
+    # counterexample_witness verifies what it built: [12,1] is even, and
+    # the compositions agree on [13] at (13; 0, 2).
+    for built, error in (
+        (P((12, 1)), "constructed witness [12,1] is not an odd partition of 13"),
+        (P((13,)), "constructed witness [13] fails to separate the compositions"),
+    ):
+        monkeypatch.setattr("oddmaps.maps._witness_mask", lambda n, k, l: _bead_mask(built))
+        assert main(["witness", "--n", "13", "--k", "0", "--l", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {error}\n" in captured.err
+        assert "command: oddmaps witness --n 13 --k 0 --l 2" in captured.err
 
 
 @pytest.mark.parametrize("module", ["oddmaps", "oddmaps.cli"])

@@ -249,6 +249,8 @@ def test_d_good_examples():
     assert d_good(P((2,)), 0)
     with pytest.raises(ValueError, match="odd partitions"):
         d_good(P((2, 1)), 1)
+    with pytest.raises(ValueError, match="depth must be non-negative"):
+        d_good(P((1,)), -1)
 
 
 def test_d_good_core_size():

@@ -328,3 +328,39 @@ def test_only_a_mismatch_decodes_its_survivor(monkeypatch):
         Mismatch(lam=P((1, 1, 1)), k=0, expected=P((1, 1)), got=P((2,))),
     )
     assert len(decoded) == 3
+
+
+def test_mismatches_come_in_enumeration_order(capsys, monkeypatch):
+    # At n = 3 the partitions run [3], [2,1], [1,1,1]: [3]'s map mismatch
+    # is reported before [2,1]'s oddness mismatch.
+    from oddmaps import oddity
+
+    is_odd = oddity.is_odd
+    monkeypatch.setattr("oddmaps.oddity.is_odd", lambda lam: lam == P((2, 1)) or is_odd(lam))
+    monkeypatch.setattr(
+        "oddmaps.maps.remove_odd_hook",
+        lambda lam, k: P((1, 1)) if (lam, k) == (P((3,)), 0) else remove_odd_hook(lam, k),
+    )
+    report = cross_validate(3)
+    assert report.mismatches == (
+        Mismatch(lam=P((3,)), k=0, expected=P((2,)), got=P((1, 1))),
+        Mismatch(lam=P((2, 1)), k=None, expected=False, got=True),
+    )
+    assert main(["verify", "--max-n", "3"]) == 1
+    assert capsys.readouterr().out.endswith(
+        "mismatches: 2\n"
+        "  [3] k=0: expected [2], got [1,1]\n"
+        "  [2,1] k=None: expected False, got True\n"
+    )
+
+
+def test_an_oracle_failure_is_that_checks_mismatch(monkeypatch):
+    def fails(lam, k, frontier, odd):
+        raise RuntimeError(f"{lam} at k={k}: 0 odd constituents with odd parity")
+
+    monkeypatch.setattr("oddmaps.oracle._odd_survivor", fails)
+    checks, mismatches = _check_level(2)
+    assert checks == 4
+    assert [(m.lam, m.k, m.got) for m in mismatches] == [(P((2,)), 0, P((1,))), (P((1, 1)), 0, P((1,)))]
+    for m in mismatches:
+        assert m.expected == f"oracle failure: {m.lam} at k=0: 0 odd constituents with odd parity"
