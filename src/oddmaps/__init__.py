@@ -9,7 +9,7 @@ The package root exports the objects and maps the paper is about, the
 references that check them, and ``cross_validate``. Everything else,
 such as the quotient tables, the oracle's parts and the other reference
 routes (hook enumeration, the core tower), is imported from its submodule.
-The three reference routes the root exports load ``reference`` only when
+The four reference routes the root exports load ``reference`` only when
 one is first read (PEP 562), so importing the package or its command line
 does not pay for them.
 """
@@ -27,7 +27,7 @@ from .maps import (
 )
 from .oddity import dnk, is_odd, odd_partitions
 from .oracle import cross_validate
-from .partition import Partition, nu2_degree, partitions_of
+from .partition import Partition, partitions_of
 from .quotient import k_data
 
 __version__ = "0.1.0"
@@ -55,7 +55,12 @@ __all__ = [
     "cross_validate",
 ]
 
-_REFERENCE = ("odd_hook_removals", "odd_partitions_by_filter", "remove_odd_hook_via_tower")
+_REFERENCE = (
+    "nu2_degree",
+    "odd_hook_removals",
+    "odd_partitions_by_filter",
+    "remove_odd_hook_via_tower",
+)
 
 
 def __getattr__(name: str) -> object:

@@ -1,4 +1,5 @@
-"""Partition arithmetic: beta-sets, hook lengths, and 2-adic helpers.
+"""Partition arithmetic: the partition value, its bead mask, the
+enumeration of partitions, and nu2.
 
 Partitions are weakly decreasing tuples of positive integers; the empty
 partition is a first-class value. A beta-set holds the first-column hook
@@ -12,8 +13,9 @@ size without building it. A partition is encoded at most once: the first
 encoding is kept on it, a memo of its parts like ``conjugate``, and later
 ones only pad it. A decoded partition does not store its mask,
 since most decoded answers are rendered and never encoded again.
-Character degrees are never materialized: only their 2-adic valuations
-are computed, via Frobenius's formula on beta numbers.
+The beta-set as a tuple, the hook-length table and the degree valuation
+by Frobenius's formula are second routes that the tests check the masks
+against; they live in ``reference``.
 """
 
 from __future__ import annotations
@@ -21,16 +23,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from functools import cached_property, total_ordering
 from itertools import accumulate
-from operator import add, index, lt
+from operator import index, lt
 
 __all__ = [
     "Partition",
-    "beta_set",
-    "partition_from_beta",
-    "hook_lengths",
     "nu2",
-    "nu2_degree",
-    "is_hook_partition",
     "partitions_of",
 ]
 
@@ -108,31 +105,6 @@ def nu2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
-    """First-column hook lengths of ``lam`` padded to ``size`` beta numbers.
-
-    Returned strictly decreasing. With the default size the values are
-    exactly the first-column hook lengths; a larger size appends the padded
-    values size-1-i for the missing rows.
-    """
-    if size is None:
-        size = len(lam)
-    if size < len(lam):
-        raise ValueError("beta-set size must be at least the number of parts")
-    beads = tuple(map(add, lam.parts, range(size - 1, -1, -1)))
-    return beads + tuple(range(size - 1 - len(beads), -1, -1))
-
-
-def partition_from_beta(beta: Iterable[int]) -> Partition:
-    """Inverse of :func:`beta_set`: recover the partition from beta numbers."""
-    beta = tuple(map(index, beta))
-    if any(b < 0 for b in beta):
-        raise ValueError("beta numbers must be non-negative")
-    if len(set(beta)) != len(beta):
-        raise ValueError("beta numbers must be distinct")
-    return _partition_from_mask(sum(1 << b for b in beta))
-
-
 def _trusted_partition(parts: tuple[int, ...]) -> Partition:
     """The :class:`Partition` of ``parts``, a tuple of ints the library
     built weakly decreasing and positive, without re-checking it.
@@ -147,9 +119,9 @@ def _trusted_partition(parts: tuple[int, ...]) -> Partition:
 
 
 def _bead_mask(lam: Partition, pad: int = 0) -> int:
-    """The bead mask of ``beta_set(lam, len(lam) + pad)``: the int whose
-    bit b is set iff b is a bead. Padding shifts every bead up by ``pad``
-    and fills the ``pad`` low bits.
+    """The bead mask of ``reference.beta_set(lam, len(lam) + pad)``: the
+    int whose bit b is set iff b is a bead. Padding shifts every bead up
+    by ``pad`` and fills the ``pad`` low bits.
 
     ``lam`` is encoded at most once: the unpadded mask is kept on it and
     every later call only pads it. :func:`_partition_from_mask` does not
@@ -195,53 +167,6 @@ def _mask_size(x: int) -> int:
         x ^= low
         total += low.bit_length() - 1
     return total
-
-
-def hook_lengths(lam: Partition) -> list[list[int]]:
-    """Hook length of every cell, row by row."""
-    conj = lam.conjugate.parts
-    return [
-        [(row - (j + 1)) + (conj[j] - (i + 1)) + 1 for j in range(row)]
-        for i, row in enumerate(lam.parts)
-    ]
-
-
-def _nu2_degree_parts(parts: tuple[int, ...]) -> int:
-    """2-adic valuation of the character degree labelled by the part tuple
-    ``parts``, from Frobenius's formula on its beta numbers; 0 for ().
-
-    The beta numbers b_i are computed here, not by :func:`beta_set`, so the
-    tests that check the abacus against this valuation share no code with
-    that primitive.
-    """
-    m = len(parts)
-    betas = [p + m - 1 - i for i, p in enumerate(parts)]
-    n = sum(parts)
-    total = n - n.bit_count()
-    for i, b in enumerate(betas):
-        total -= b - b.bit_count()
-        for c in betas[i + 1 :]:
-            d = b - c
-            total += (d & -d).bit_length() - 1
-    return total
-
-
-def nu2_degree(lam: Partition) -> int:
-    """2-adic valuation of the character degree labelled by ``lam``.
-
-    Evaluates Frobenius's degree formula on the beta numbers
-    b_i = lam_i + len(lam) - i, in valuations:
-    nu2(n!) + sum over i < j of nu2(b_i - b_j) - sum over i of nu2(b_i!),
-    with nu2(m!) = m - (number of ones in the binary expansion of m).
-    """
-    if lam.size == 0:
-        raise ValueError("degree valuation undefined for the empty partition")
-    return _nu2_degree_parts(lam.parts)
-
-
-def is_hook_partition(lam: Partition) -> bool:
-    """True iff ``lam`` is empty or of the form (a, 1, 1, ..., 1)."""
-    return all(p == 1 for p in lam.parts[1:])
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

@@ -11,20 +11,21 @@ The beads are held as bead masks (see ``partition``). Residue class r is
 runner r of the e-runner abacus, itself a bead mask whose bit j is bead
 e*j + r: quotient component r is the partition of that mask, and the core
 keeps each runner's bead count, pushed up. A core needs those counts
-alone (:func:`_core`), so :func:`e_core` builds no runner mask and
-decodes no quotient.
+alone (:func:`_core`), so d-goodness builds no runner mask and decodes
+no quotient.
 
 Towers iterate the e = 2 decomposition: row k of the quotient tower holds
 2^k partitions, obtained by replacing each entry of row k-1 with its
 2-quotient pair; the core tower records the 2-cores of those entries.
 Row k holds the components of the 2^k-quotient in another order (the
 abacus fact of James and Kerber), so a question that ignores the order
-reads row k from one ``e_quotient(lam, 2**k)`` pass. Only the k-data
+reads row k from one ``core_and_quotient(lam, 2**k)`` pass. Only the k-data
 tables, which the ``tower`` command prints, need the order; they walk
 the tower level by level. Production code never builds a whole tower:
 oddness and the removal map work on bead slides of a bead mask. The full
-core tower and the rebuild of a partition from its k-data are kept in
-``reference``, where the tests check those slides against them.
+core tower, the rebuild of a partition from its k-data, and the e-core,
+e-quotient and rebuild from them as partitions are kept in ``reference``,
+where the tests check those slides against them.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ __all__ = [
     "CoreQuotient",
     "KData",
     "core_and_quotient",
-    "e_core",
-    "e_quotient",
-    "from_core_quotient",
     "k_data",
 ]
 
@@ -111,39 +109,6 @@ def _core(x: int, e: int) -> int:
     pad = -x.bit_count() % e
     digits = bin(x << pad | ((1 << pad) - 1))[:1:-1]  # the lowest bit first
     return _pushed_up([digits[r::e].count("1") for r in range(e)], e)
-
-
-def e_core(lam: Partition, e: int) -> Partition:
-    """The partition left after all hooks of length e are removed: the core
-    of :func:`core_and_quotient`, decoded alone."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    return _partition_from_mask(_core(_bead_mask(lam), e))
-
-
-def e_quotient(lam: Partition, e: int) -> tuple[Partition, ...]:
-    """The e-tuple of quotient components of ``lam``."""
-    return core_and_quotient(lam, e).quotient
-
-
-def from_core_quotient(
-    core: Partition, quotient: tuple[Partition, ...] | list[Partition], e: int
-) -> Partition:
-    """The unique partition with the given e-core and e-quotient."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    quotient = tuple(quotient)
-    if len(quotient) != e:
-        raise ValueError(f"quotient must have exactly {e} components")
-    # An e-core has no e-hook: no bead b >= e with b - e free.
-    x = _bead_mask(core)
-    if x >> e & ~x:
-        raise ValueError("not an e-core")
-    counts = [r.bit_count() for r in _runners(_bead_mask(core, -len(core) % e), e)]
-    # Padding by e more beads puts one more bead on every runner.
-    extra = max(0, *(len(q) - c for c, q in zip(counts, quotient)))
-    runners = [_bead_mask(q, c + extra - len(q)) for c, q in zip(counts, quotient)]
-    return _partition_from_mask(_from_runners(runners, e))
 
 
 def _descend(

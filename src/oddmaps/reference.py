@@ -19,6 +19,20 @@ another way, straight from the definitions:
 - the odd partitions of n as a filter over all partitions of n
   (:func:`odd_partitions_by_filter`).
 
+It also holds, in their textbook forms, the primitives that production
+computes on its one bead format, the bead mask:
+
+- the beta-set as a tuple and its inverse (:func:`beta_set`,
+  :func:`partition_from_beta`), the hook-length table
+  (:func:`hook_lengths`) and the hook-shape test
+  (:func:`is_hook_partition`);
+- the degree valuation by Frobenius's formula on beta numbers
+  (:func:`nu2_degree`), a second route beside the oracle's valuation on
+  masks;
+- the e-core, the e-quotient and the rebuild of a partition from them,
+  as partitions (:func:`e_core`, :func:`e_quotient`,
+  :func:`from_core_quotient`).
+
 The character-theory oracle in ``oracle`` checks the map independently of
 all of them.
 """
@@ -27,12 +41,29 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
+from operator import add, index
 
 from .oddity import is_odd
-from .partition import Partition, beta_set, partition_from_beta, partitions_of
-from .quotient import KData, _descend, e_quotient, from_core_quotient, k_data
+from .partition import Partition, _bead_mask, _partition_from_mask, partitions_of
+from .quotient import (
+    KData,
+    _core,
+    _descend,
+    _from_runners,
+    _runners,
+    core_and_quotient,
+    k_data,
+)
 
 __all__ = [
+    "beta_set",
+    "partition_from_beta",
+    "hook_lengths",
+    "is_hook_partition",
+    "nu2_degree",
+    "e_core",
+    "e_quotient",
+    "from_core_quotient",
     "Hook",
     "CoreTower",
     "all_two_disjoint",
@@ -67,6 +98,112 @@ class Hook(namedtuple("Hook", "row col arm leg")):
     @property
     def length(self) -> int:
         return self.arm + self.leg + 1
+
+
+def beta_set(lam: Partition, size: int | None = None) -> tuple[int, ...]:
+    """First-column hook lengths of ``lam`` padded to ``size`` beta numbers.
+
+    Returned strictly decreasing. With the default size the values are
+    exactly the first-column hook lengths; a larger size appends the padded
+    values size-1-i for the missing rows.
+    """
+    if size is None:
+        size = len(lam)
+    if size < len(lam):
+        raise ValueError("beta-set size must be at least the number of parts")
+    beads = tuple(map(add, lam.parts, range(size - 1, -1, -1)))
+    return beads + tuple(range(size - 1 - len(beads), -1, -1))
+
+
+def partition_from_beta(beta: Iterable[int]) -> Partition:
+    """Inverse of :func:`beta_set`: recover the partition from beta numbers."""
+    beta = tuple(map(index, beta))
+    if any(b < 0 for b in beta):
+        raise ValueError("beta numbers must be non-negative")
+    if len(set(beta)) != len(beta):
+        raise ValueError("beta numbers must be distinct")
+    return _partition_from_mask(sum(1 << b for b in beta))
+
+
+def hook_lengths(lam: Partition) -> list[list[int]]:
+    """Hook length of every cell, row by row."""
+    conj = lam.conjugate.parts
+    return [
+        [(row - (j + 1)) + (conj[j] - (i + 1)) + 1 for j in range(row)]
+        for i, row in enumerate(lam.parts)
+    ]
+
+
+def is_hook_partition(lam: Partition) -> bool:
+    """True iff ``lam`` is empty or of the form (a, 1, 1, ..., 1)."""
+    return all(p == 1 for p in lam.parts[1:])
+
+
+def _nu2_degree_parts(parts: tuple[int, ...]) -> int:
+    """2-adic valuation of the character degree labelled by the part tuple
+    ``parts``, from Frobenius's formula on its beta numbers; 0 for ().
+
+    The beta numbers b_i are computed here, not by :func:`beta_set`, so the
+    tests that check the abacus against this valuation share no code with
+    that primitive.
+    """
+    m = len(parts)
+    betas = [p + m - 1 - i for i, p in enumerate(parts)]
+    n = sum(parts)
+    total = n - n.bit_count()
+    for i, b in enumerate(betas):
+        total -= b - b.bit_count()
+        for c in betas[i + 1 :]:
+            d = b - c
+            total += (d & -d).bit_length() - 1
+    return total
+
+
+def nu2_degree(lam: Partition) -> int:
+    """2-adic valuation of the character degree labelled by ``lam``.
+
+    Evaluates Frobenius's degree formula on the beta numbers
+    b_i = lam_i + len(lam) - i, in valuations:
+    nu2(n!) + sum over i < j of nu2(b_i - b_j) - sum over i of nu2(b_i!),
+    with nu2(m!) = m - (number of ones in the binary expansion of m).
+    """
+    if lam.size == 0:
+        raise ValueError("degree valuation undefined for the empty partition")
+    return _nu2_degree_parts(lam.parts)
+
+
+def e_core(lam: Partition, e: int) -> Partition:
+    """The partition left after all hooks of length e are removed: the core
+    of :func:`core_and_quotient`, decoded alone."""
+    if e < 1:
+        raise ValueError("e must be at least 1")
+    return _partition_from_mask(_core(_bead_mask(lam), e))
+
+
+def e_quotient(lam: Partition, e: int) -> tuple[Partition, ...]:
+    """The e-tuple of quotient components of ``lam``."""
+    return core_and_quotient(lam, e).quotient
+
+
+def from_core_quotient(
+    core: Partition, quotient: tuple[Partition, ...] | list[Partition], e: int
+) -> Partition:
+    """The unique partition with the given e-core and e-quotient."""
+    if e < 1:
+        raise ValueError("e must be at least 1")
+    quotient = tuple(quotient)
+    if len(quotient) != e:
+        raise ValueError(f"quotient must have exactly {e} components")
+    # An e-core has no e-hook: no bead b >= e with b - e free.
+    x = _bead_mask(core)
+    if x >> e & ~x:
+        raise ValueError("not an e-core")
+    counts = [r.bit_count() for r in _runners(_bead_mask(core, -len(core) % e), e)]
+    # Padding by e more beads puts one more bead on every runner.
+    extra = max(0, *(len(q) - c for c, q in zip(counts, quotient)))
+    runners = [_bead_mask(q, c + extra - len(q)) for c, q in zip(counts, quotient)]
+    return _partition_from_mask(_from_runners(runners, e))
+
 
 
 def all_two_disjoint(values: Iterable[int]) -> bool:

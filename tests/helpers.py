@@ -6,7 +6,7 @@ import random
 from typing import Iterator
 
 from oddmaps import CommuteInstance, Partition, fiber
-from oddmaps.partition import _nu2_degree_parts
+from oddmaps.reference import _nu2_degree_parts
 
 
 def random_partition(rng: random.Random, max_size: int) -> Partition:

@@ -47,6 +47,15 @@ PRODUCTION = (
     oddmaps.oracle,
 )
 
+# Top-level functions of a production module that no production code calls,
+# each kept for the reason given.
+UNCALLED = {
+    "oddity.d_good": "goodness of a partition, as defined; production tests masks by _good",
+    "cli.render_kdata": "a k-data table as text for library callers; tower uses _centered",
+    "oracle.unique_odd_constituent": "the oracle's value at one partition; the sweep walks levels",
+    "oracle.skew_syt_parity": "the one-box definition that the oracle's domino walk is tested on",
+}
+
 
 def test_root_exports_exactly_the_public_api():
     assert len(oddmaps.__all__) == len(ROOT_API)
@@ -100,6 +109,59 @@ def test_production_never_imports_the_reference_routes():
     assert "hooks_of_length" not in imported[oddmaps.quotient]
 
 
+def _loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name read in ``tree`` outside the subtree ``skip``."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _imported_from(tree: ast.AST, module: str) -> set[str]:
+    """The names ``tree`` imports from the sibling module ``module``."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+        for alias in node.names
+    }
+
+
+def test_every_production_function_is_exported_or_called_in_production():
+    # A function qualifies by being a root export, by being read in its own
+    # module outside its own body, or by being imported and read by another
+    # module of the package other than reference. Tests do not count.
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in Path(oddmaps.__file__).parent.glob("*.py")
+        if path.stem != "reference"
+    }
+    reads = {stem: _loaded_names(tree) for stem, tree in trees.items()}
+    uncalled = set()
+    for module in PRODUCTION:
+        stem = module.__name__.rpartition(".")[2]
+        tree = trees[stem]
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = node.name
+            exported = name in oddmaps.__all__ and getattr(oddmaps, name) is getattr(module, name)
+            called = name in _loaded_names(tree, skip=node) or any(
+                name in reads[other] and name in _imported_from(trees[other], stem)
+                for other in trees
+                if other != stem
+            )
+            if not (exported or called):
+                uncalled.add(f"{stem}.{name}")
+    assert uncalled == set(UNCALLED)
+
+
 def _cold_import(then: str) -> subprocess.CompletedProcess:
     """Run ``import oddmaps, oddmaps.cli`` and then ``then`` in a fresh
     interpreter, so that nothing pytest loaded counts."""
@@ -123,11 +185,14 @@ def test_cold_import_loads_no_process_pool_and_no_dataclasses():
 
 
 def test_cold_import_loads_no_reference_routes_csv_or_shlex():
-    # The root loads reference on first reading one of its three routes.
+    # The root loads reference on first reading one of its four routes.
     proc = _cold_import(
-        "print([m for m in ('oddmaps.reference', 'csv', 'shlex') if m in sys.modules]); "
+        "print([m for m in ('oddmaps.reference', 'csv', 'shlex') if m in sys.modules], "
+        "'nu2_degree' in vars(oddmaps)); "
+        "nu2_degree = oddmaps.nu2_degree; "
         "from oddmaps import reference; "
-        "print(oddmaps.odd_hook_removals is reference.odd_hook_removals, "
+        "print(nu2_degree is reference.nu2_degree, "
+        "oddmaps.odd_hook_removals is reference.odd_hook_removals, "
         "hasattr(oddmaps, 'hooks_of_length'))"
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nTrue False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] False\nTrue True False\n", "")

@@ -27,8 +27,9 @@ from oddmaps import maps, oddity
 from oddmaps.maps import CommuteVerdict, _composition_disagrees, _images
 from oddmaps.oddity import _level, dnk
 from oddmaps.oracle import _check_level
-from oddmaps.partition import _bead_mask, _mask_size, _partition_from_mask, is_hook_partition
-from oddmaps.quotient import _runners, e_core, e_quotient, from_core_quotient
+from oddmaps.partition import _bead_mask, _mask_size, _partition_from_mask
+from oddmaps.quotient import _runners
+from oddmaps.reference import e_core, e_quotient, from_core_quotient, is_hook_partition
 
 P = Partition
 

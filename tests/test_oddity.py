@@ -16,12 +16,15 @@ from oddmaps import (
     partitions_of,
 )
 from oddmaps.oddity import _known_odd_slides, _level, d_good
-from oddmaps.partition import _bead_mask, is_hook_partition
-from oddmaps.quotient import e_core, e_quotient, k_data
+from oddmaps.partition import _bead_mask
+from oddmaps.quotient import k_data
 from oddmaps.reference import (
     all_two_disjoint,
     core_tower,
+    e_core,
+    e_quotient,
     hooks_of_length,
+    is_hook_partition,
     is_odd_via_row,
     remove_hook,
 )

@@ -19,7 +19,8 @@ from oddmaps.oracle import (
     skew_syt_parity,
     unique_odd_constituent,
 )
-from oddmaps.partition import beta_set, nu2, nu2_degree
+from oddmaps.partition import nu2
+from oddmaps.reference import beta_set, nu2_degree
 
 P = Partition
 

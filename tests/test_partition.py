@@ -6,17 +6,17 @@ from collections import Counter
 import pytest
 
 from oddmaps import Partition, nu2_degree, odd_partitions, partitions_of
-from oddmaps.partition import (
-    _bead_mask,
+from oddmaps.partition import _bead_mask, _partition_from_mask, nu2
+from oddmaps.reference import (
+    Hook,
     _nu2_degree_parts,
-    _partition_from_mask,
     beta_set,
     hook_lengths,
+    hooks_of_length,
     is_hook_partition,
-    nu2,
     partition_from_beta,
+    remove_hook,
 )
-from oddmaps.reference import Hook, hooks_of_length, remove_hook
 
 P = Partition
 

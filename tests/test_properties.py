@@ -15,8 +15,8 @@ from oddmaps import (
     remove_odd_hook,
 )
 from oddmaps.oddity import _known_odd_slides, _level
-from oddmaps.partition import _bead_mask, _partition_from_mask, beta_set, partition_from_beta
-from oddmaps.reference import core_tower
+from oddmaps.partition import _bead_mask, _partition_from_mask
+from oddmaps.reference import beta_set, core_tower, partition_from_beta
 
 # Reproducible draws, and no example database written to the checkout.
 reproducible = settings(derandomize=True, database=None, deadline=None)

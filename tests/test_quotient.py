@@ -4,16 +4,13 @@ import pytest
 
 from helpers import random_partition
 from oddmaps import Partition, k_data, partitions_of
-from oddmaps.partition import hook_lengths
-from oddmaps.quotient import (
-    KData,
-    core_and_quotient,
+from oddmaps.quotient import KData, core_and_quotient
+from oddmaps.reference import (
+    core_tower,
     e_core,
     e_quotient,
     from_core_quotient,
-)
-from oddmaps.reference import (
-    core_tower,
+    hook_lengths,
     hooks_of_length,
     is_two_core,
     partition_from_kdata,
