@@ -87,13 +87,9 @@ def parse_partition_text(text: str) -> Partition:
 
 def render_kdata(data: KData) -> str:
     """Centered triangular rendering of a k-data table, one row per line."""
-    return "\n".join(_centered(data.core_rows + (data.quotient_row,)))
-
-
-def _centered(rows: tuple[tuple[Partition, ...], ...]) -> list[str]:
-    texts = [" ".join(str(p) for p in row) for row in rows]
-    width = max(len(t) for t in texts)
-    return [" " * ((width - len(t)) // 2) + t for t in texts]
+    texts = [" ".join(map(str, row)) for row in data.core_rows + (data.quotient_row,)]
+    width = max(map(len, texts))
+    return "\n".join(" " * ((width - len(t)) // 2) + t for t in texts)
 
 
 def _partition_arg(text: str) -> Partition:
@@ -239,7 +235,7 @@ _COMMANDS = {
     "tower": _Command(
         "render the k-data table of a partition", "--lambda --k", "lam.size", _tower,
         # One line, or one CSV row, per tower row.
-        text=lambda r: _centered(r["result"]),
+        text=lambda r: render_kdata(KData(r["k"], r["result"][:-1], r["result"][-1])).split("\n"),
         rows=lambda r: ([str(p) for p in row] for row in r["result"]),
     ),
     "verify": _Command(

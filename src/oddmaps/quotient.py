@@ -1,4 +1,4 @@
-"""e-cores, e-quotients, and the k-data tables of the 2-quotient tower.
+"""The k-data tables of the 2-quotient tower, walked on bead masks.
 
 The quotient convention is fixed once and for all: a beta-set whose size is
 a multiple of e, with quotient components ordered by the residue classes of
@@ -8,24 +8,26 @@ well defined. A regression test pins the convention against a worked
 6-part example, including the order of the second tower row.
 
 The beads are held as bead masks (see ``partition``). Residue class r is
-runner r of the e-runner abacus, itself a bead mask whose bit j is bead
-e*j + r: quotient component r is the partition of that mask, and the core
-keeps each runner's bead count, pushed up. A core needs those counts
-alone (:func:`_core`), so d-goodness builds no runner mask and decodes
-no quotient.
+runner r of the e-runner abacus (:func:`_runners`), itself a bead mask
+whose bit j is bead e*j + r: quotient component r is the partition of that
+mask, and the core keeps each runner's bead count, pushed up
+(:func:`_pushed_up`). A core needs those counts alone (:func:`_core`), so
+d-goodness builds no runner mask and decodes no quotient.
 
 Towers iterate the e = 2 decomposition: row k of the quotient tower holds
 2^k partitions, obtained by replacing each entry of row k-1 with its
 2-quotient pair; the core tower records the 2-cores of those entries.
 Row k holds the components of the 2^k-quotient in another order (the
-abacus fact of James and Kerber), so a question that ignores the order
-reads row k from one ``core_and_quotient(lam, 2**k)`` pass. Only the k-data
-tables, which the ``tower`` command prints, need the order; they walk
-the tower level by level. Production code never builds a whole tower:
-oddness and the removal map work on bead slides of a bead mask. The full
-core tower, the rebuild of a partition from its k-data, and the e-core,
-e-quotient and rebuild from them as partitions are kept in ``reference``,
-where the tests check those slides against them.
+abacus fact of James and Kerber). Only the k-data tables, which the
+``tower`` command prints, need the order. :func:`k_data` walks them on
+masks: ``lam`` is encoded once, each entry splits into its two runner
+masks, each padded to an even bead count for the next split, and only the
+cores and the row-k entries that the table holds are decoded. Production
+code never builds a whole tower: oddness and the removal map work on bead
+slides of a bead mask. The e-core and e-quotient as partitions
+(``core_and_quotient``), the full core tower by a descent over them, and
+the rebuild of a partition from its k-data are kept in ``reference``,
+where the tests check the mask walk and the slides against them.
 """
 
 from __future__ import annotations
@@ -35,25 +37,9 @@ from collections import namedtuple
 from .partition import Partition, _bead_mask, _partition_from_mask
 
 __all__ = [
-    "CoreQuotient",
     "KData",
-    "core_and_quotient",
     "k_data",
 ]
-
-
-class CoreQuotient(namedtuple("CoreQuotient", "e core quotient")):
-    """An e-core together with the e-tuple of quotient components.
-
-    Fields: ``e: int``, ``core: Partition``, ``quotient: tuple[Partition, ...]``.
-    """
-
-    __slots__ = ()
-
-    @property
-    def total(self) -> int:
-        """Size of the partition this decomposition came from."""
-        return self.core.size + self.e * sum(q.size for q in self.quotient)
 
 
 class KData(namedtuple("KData", "k core_rows quotient_row")):
@@ -84,15 +70,6 @@ def _from_runners(runners: list[int], e: int) -> int:
     return int("".join(map("".join, columns))[::-1], 2)
 
 
-def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
-    """The e-core and e-quotient of ``lam`` in one pass over its runners."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    runners = _runners(_bead_mask(lam, -len(lam) % e), e)
-    core = _partition_from_mask(_pushed_up([r.bit_count() for r in runners], e))
-    return CoreQuotient(e=e, core=core, quotient=tuple(map(_partition_from_mask, runners)))
-
-
 def _pushed_up(counts: list[int], e: int) -> int:
     """The bead mask of the e-core whose abacus holds counts[r] beads on
     runner r, all pushed up."""
@@ -111,21 +88,20 @@ def _core(x: int, e: int) -> int:
     return _pushed_up([digits[r::e].count("1") for r in range(e)], e)
 
 
-def _descend(
-    entries: tuple[Partition, ...],
-) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
-    """The 2-cores of one tower row and the row below it, one split per entry."""
-    split = [core_and_quotient(p, 2) for p in entries]
-    return tuple(cq.core for cq in split), tuple(q for cq in split for q in cq.quotient)
-
-
 def k_data(lam: Partition, k: int) -> KData:
-    """Core rows 0..k-1 together with quotient row k."""
+    """Core rows 0..k-1 together with quotient row k, in one walk over
+    bead masks: ``lam`` is encoded once, and only the entries the table
+    holds are decoded."""
     if k < 1:
         raise ValueError("k-data defined for k > 0")
     core_rows = []
-    entries = (lam,)
+    # Every entry's mask holds an even number of beads, so that runner 0
+    # holds its even beads and each split lands in tower order.
+    masks = [_bead_mask(lam, len(lam) % 2)]
     for _ in range(k):
-        cores, entries = _descend(entries)
-        core_rows.append(cores)
-    return KData(k=k, core_rows=tuple(core_rows), quotient_row=entries)
+        split = [_runners(x, 2) for x in masks]
+        counts = ([r.bit_count() for r in pair] for pair in split)
+        core_rows.append(tuple(_partition_from_mask(_pushed_up(c, 2)) for c in counts))
+        masks = [r << (odd := r.bit_count() % 2) | odd for pair in split for r in pair]
+    quotient_row = tuple(map(_partition_from_mask, masks))
+    return KData(k=k, core_rows=tuple(core_rows), quotient_row=quotient_row)

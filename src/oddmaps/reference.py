@@ -11,7 +11,9 @@ another way, straight from the definitions:
   removal filtered by oddness (:func:`odd_hook_removals`). The route
   stands apart from production's slide scan by finding its hooks on the
   diagram; its oddness filter is ``is_odd``, the production digit peel;
-- the 2-core tower (:func:`core_tower`), oddness read from one tower row
+- the 2-core tower by a descent that splits each entry as a partition
+  (:func:`core_tower`), the route that production's mask walk
+  ``quotient.k_data`` is tested against, oddness read from one tower row
   (:func:`is_odd_via_row`), and the map as tower surgery that removes a
   single cell from one entry of quotient row k and rebuilds the partition
   from its k-data (:func:`remove_odd_hook_via_tower`,
@@ -29,8 +31,10 @@ computes on its one bead format, the bead mask:
 - the degree valuation by Frobenius's formula on beta numbers
   (:func:`nu2_degree`), a second route beside the oracle's valuation on
   masks;
-- the e-core, the e-quotient and the rebuild of a partition from them,
-  as partitions (:func:`e_core`, :func:`e_quotient`,
+- the e-core and e-quotient of a partition in one pass over its runners,
+  as the record :class:`CoreQuotient` (:func:`core_and_quotient`), and the
+  e-core, the e-quotient and the rebuild of a partition from them, as
+  partitions (:func:`e_core`, :func:`e_quotient`,
   :func:`from_core_quotient`).
 
 The character-theory oracle in ``oracle`` checks the map independently of
@@ -45,15 +49,7 @@ from operator import add, index
 
 from .oddity import is_odd
 from .partition import Partition, _bead_mask, _partition_from_mask, partitions_of
-from .quotient import (
-    KData,
-    _core,
-    _descend,
-    _from_runners,
-    _runners,
-    core_and_quotient,
-    k_data,
-)
+from .quotient import KData, _core, _from_runners, _pushed_up, _runners, k_data
 
 __all__ = [
     "beta_set",
@@ -61,6 +57,8 @@ __all__ = [
     "hook_lengths",
     "is_hook_partition",
     "nu2_degree",
+    "CoreQuotient",
+    "core_and_quotient",
     "e_core",
     "e_quotient",
     "from_core_quotient",
@@ -170,6 +168,37 @@ def nu2_degree(lam: Partition) -> int:
     if lam.size == 0:
         raise ValueError("degree valuation undefined for the empty partition")
     return _nu2_degree_parts(lam.parts)
+
+
+class CoreQuotient(namedtuple("CoreQuotient", "e core quotient")):
+    """An e-core together with the e-tuple of quotient components.
+
+    Fields: ``e: int``, ``core: Partition``, ``quotient: tuple[Partition, ...]``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def total(self) -> int:
+        """Size of the partition this decomposition came from."""
+        return self.core.size + self.e * sum(q.size for q in self.quotient)
+
+
+def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
+    """The e-core and e-quotient of ``lam`` in one pass over its runners."""
+    if e < 1:
+        raise ValueError("e must be at least 1")
+    runners = _runners(_bead_mask(lam, -len(lam) % e), e)
+    core = _partition_from_mask(_pushed_up([r.bit_count() for r in runners], e))
+    return CoreQuotient(e=e, core=core, quotient=tuple(map(_partition_from_mask, runners)))
+
+
+def _descend(
+    entries: tuple[Partition, ...],
+) -> tuple[tuple[Partition, ...], tuple[Partition, ...]]:
+    """The 2-cores of one tower row and the row below it, one split per entry."""
+    split = [core_and_quotient(p, 2) for p in entries]
+    return tuple(cq.core for cq in split), tuple(q for cq in split for q in cq.quotient)
 
 
 def e_core(lam: Partition, e: int) -> Partition:

@@ -51,7 +51,6 @@ PRODUCTION = (
 # each kept for the reason given.
 UNCALLED = {
     "oddity.d_good": "goodness of a partition, as defined; production tests masks by _good",
-    "cli.render_kdata": "a k-data table as text for library callers; tower uses _centered",
     "oracle.unique_odd_constituent": "the oracle's value at one partition; the sweep walks levels",
     "oracle.skew_syt_parity": "the one-box definition that the oracle's domino walk is tested on",
 }

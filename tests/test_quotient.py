@@ -3,9 +3,10 @@ import random
 import pytest
 
 from helpers import random_partition
-from oddmaps import Partition, k_data, partitions_of
-from oddmaps.quotient import KData, core_and_quotient
+from oddmaps import Partition, k_data, partitions_of, quotient
+from oddmaps.quotient import KData
 from oddmaps.reference import (
+    core_and_quotient,
     core_tower,
     e_core,
     e_quotient,
@@ -182,11 +183,37 @@ def test_k_data_examples():
         k_data(CALIBRATION, 0)
 
 
+def test_k_data_encodes_once_and_decodes_only_its_table(monkeypatch):
+    # At k = 3 the table holds 2^3 - 1 cores and 2^3 row entries; no tower
+    # entry is decoded or encoded again to be split.
+    calls = {"_bead_mask": 0, "_partition_from_mask": 0}
+
+    def counted(name):
+        fn = getattr(quotient, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(quotient, name, wrapper)
+
+    counted("_bead_mask")
+    counted("_partition_from_mask")
+    k_data(CALIBRATION, 3)
+    assert calls == {"_bead_mask": 1, "_partition_from_mask": 15}
+
+
 def test_partition_from_kdata_roundtrip():
+    # The mask walk against the Partition-level descent of core_tower, whose
+    # rows stop at the first all-empty one.
     for n in range(21):
         for lam in partitions_of(n):
+            rows = core_tower(lam).rows
             for k in (1, 2, 3):
-                assert partition_from_kdata(k_data(lam, k)) == lam
+                data = k_data(lam, k)
+                assert partition_from_kdata(data) == lam
+                for j, row in enumerate(data.core_rows):
+                    assert row == (rows[j] if j < len(rows) else (P(()),) * (1 << j)), (lam, k)
 
 
 def test_partition_from_kdata_examples():
