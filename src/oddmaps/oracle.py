@@ -31,6 +31,15 @@ popcounts (see :func:`_nu2_degree_mask`). ``cross_validate`` encodes the
 map's answer at each 2^k as a mask and compares it with the one odd-degree
 survivor there, which it decodes back to parts only to report a mismatch.
 
+A level is checked in batches of ``_BATCH`` partitions, taken as they are
+enumerated, and each batch goes through one layer at a time: the oracle's
+masks and degree tests, then ``is_odd``, then the walks, then the map, and
+last one pass in enumeration order that compares and reports. Taking every
+layer partition by partition does the same work but runs slower, most of
+all at small n, where a level is a few hundred partitions. A batch holds
+at most ``_BATCH`` partitions, so memory is bounded by the batch and not
+the level, and mismatches still come in enumeration order.
+
 The walks of one level reach the same shapes many times, from partitions
 with different numbers of parts and so at different paddings. Each level of
 ``cross_validate`` keeps one dict from a shape's unpadded mask (its low run
@@ -45,6 +54,7 @@ import os
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import islice
 
 from .partition import Partition, partitions_of
 
@@ -259,19 +269,27 @@ def unique_odd_constituent(lam: Partition, k: int) -> Partition:
     return Partition(_parts_of(_odd_survivor(lam, k, frontier, {})))
 
 
+# How many partitions of a level one batch of :func:`_check_level` holds.
+_BATCH = 1024
+
+
 def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     """The checks of one level of :func:`cross_validate`, and its mismatches.
 
-    One loop over the partitions of n: each takes one degree test, against
-    ``is_odd``, and one of odd degree then takes its walk at once, read at
-    each depth 2^k < n, against the map. No partition or mask is kept once
-    its checks are done, so mismatches come in enumeration order. The
-    walks of a level meet the same shapes again and again, so the level
-    keeps one memo of their degree parities (see :func:`_odd_survivor`)
-    and tests each shape once. The memo is all that
-    outlives a partition, and it is local: it dies with the call, so no
-    level holds another's shapes and a worker process carries nothing from
-    one level to the next.
+    The partitions of n are taken in batches of ``_BATCH``, and each batch
+    goes through one layer at a time: the oracle's masks and degree tests,
+    then ``is_odd`` on every member, then one walk for each member of odd
+    degree, read at each depth 2^k < n, then the map at every k, and last
+    one pass in enumeration order that compares and reports. Interleaving
+    the layers partition by partition does no extra work but runs slower;
+    a batch keeps each layer's loop hot, and holds at most ``_BATCH``
+    partitions, so memory is bounded by the batch and not the level, and
+    mismatches still come in enumeration order. The walks of a level meet
+    the same shapes again and again, so the level keeps one memo of their
+    degree parities (see :func:`_odd_survivor`) and tests each shape once.
+    The memo is the one thing that outlives a batch, and it is local: it
+    dies with the call, so no level holds another's shapes and a worker
+    process carries nothing from one level to the next.
     """
     # Imports deferred so the oracle itself stays free of tower machinery.
     from .maps import remove_odd_hook
@@ -282,38 +300,53 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     odd: dict[int, bool] = {}
     # The largest k with 2^k < n; -1 at n = 1, where no k is checked.
     k_max = (n - 1).bit_length() - 1
-    for lam in partitions_of(n):
-        m = len(lam)
-        x = _mask_of(lam.parts, m)
-        expected = _nu2_degree_mask(x, n) == 0
-        got = is_odd(lam)
-        checks += 1
-        if expected != got:
-            mismatches.append(Mismatch(lam=lam, k=None, expected=expected, got=got))
-        if not expected:
-            continue
-        # One walk per odd lam, from the mask of its degree test, serves
-        # every k. The map's answer is compared as a bead mask with m beads,
-        # and a survivor is decoded only to report a mismatch.
-        for k, frontier in enumerate(_frontiers(x, k_max)):
-            checks += 1
-            try:
-                got_mu: object = remove_odd_hook(lam, k)
-            except Exception as exc:
-                got_mu = f"error: {exc}"
-            try:
-                survivor = _odd_survivor(lam, k, frontier, odd)
-            except RuntimeError as exc:
-                expected_mu: object = f"oracle failure: {exc}"
-            else:
+    ks = range(k_max + 1)
+    level = partitions_of(n)
+    while batch := list(islice(level, _BATCH)):
+        masks = [_mask_of(lam.parts, len(lam.parts)) for lam in batch]
+        expected = [_nu2_degree_mask(x, n) == 0 for x in masks]
+        got = [is_odd(lam) for lam in batch]
+        # One walk per member of odd degree, from the mask of its degree
+        # test, serves every k; the survivors and the map's answers are
+        # kept flat, one per (member, k) in that order.
+        walked = [(lam, x) for lam, x, e in zip(batch, masks, expected) if e]
+        survivors: list[object] = []
+        for lam, x in walked:
+            for k, frontier in enumerate(_frontiers(x, k_max)):
+                try:
+                    survivors.append(_odd_survivor(lam, k, frontier, odd))
+                except RuntimeError as exc:
+                    survivors.append(f"oracle failure: {exc}")
+        answers: list[object] = []
+        for lam, _ in walked:
+            for k in ks:
+                try:
+                    answers.append(remove_odd_hook(lam, k))
+                except Exception as exc:
+                    answers.append(f"error: {exc}")
+        checks += len(batch) + len(survivors)
+        # The map's answer is compared as a bead mask with as many beads as
+        # lam has parts, and a survivor is decoded only to report a
+        # mismatch. zip draws from ks first, so a member takes exactly its
+        # own k_max + 1 pairs.
+        pairs = zip(survivors, answers)
+        for lam, e, g in zip(batch, expected, got):
+            if e != g:
+                mismatches.append(Mismatch(lam=lam, k=None, expected=e, got=g))
+            if not e:
+                continue
+            m = len(lam.parts)
+            for k, (survivor, got_mu) in zip(ks, pairs):
                 if (
                     isinstance(got_mu, Partition)
                     and len(got_mu.parts) <= m
                     and _mask_of(got_mu.parts, m) == survivor
                 ):
                     continue
-                expected_mu = Partition(_parts_of(survivor))
-            mismatches.append(Mismatch(lam=lam, k=k, expected=expected_mu, got=got_mu))
+                expected_mu = (
+                    survivor if isinstance(survivor, str) else Partition(_parts_of(survivor))
+                )
+                mismatches.append(Mismatch(lam=lam, k=k, expected=expected_mu, got=got_mu))
     return checks, mismatches
 
 

@@ -331,7 +331,7 @@ def test_only_a_mismatch_decodes_its_survivor(monkeypatch):
     assert len(decoded) == 3
 
 
-def test_mismatches_come_in_enumeration_order(capsys, monkeypatch):
+def _assert_mismatches_in_enumeration_order(capsys, monkeypatch):
     # At n = 3 the partitions run [3], [2,1], [1,1,1]: [3]'s map mismatch
     # is reported before [2,1]'s oddness mismatch.
     from oddmaps import oddity
@@ -353,6 +353,70 @@ def test_mismatches_come_in_enumeration_order(capsys, monkeypatch):
         "  [3] k=0: expected [2], got [1,1]\n"
         "  [2,1] k=None: expected False, got True\n"
     )
+
+
+def test_mismatches_come_in_enumeration_order(capsys, monkeypatch):
+    _assert_mismatches_in_enumeration_order(capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_batch_boundaries_keep_enumeration_order(capsys, monkeypatch, batch):
+    # In batches of 1 and of 2, [3] and [2,1] fall in different batches
+    # and in one batch, and report the same mismatches in the same order.
+    monkeypatch.setattr("oddmaps.oracle._BATCH", batch)
+    _assert_mismatches_in_enumeration_order(capsys, monkeypatch)
+
+
+def test_batch_sizes_agree(monkeypatch):
+    # Every level to 12, clean and with oddness and map faults injected on
+    # many partitions, gives the same checks and the same mismatches in the
+    # same order whatever the batch size, a last partial batch included.
+    from oddmaps import oddity, oracle
+
+    default = oracle._BATCH
+    is_odd = oddity.is_odd
+
+    def sweep():
+        results = {}
+        for batch in (1, 5, default):
+            monkeypatch.setattr("oddmaps.oracle._BATCH", batch)
+            results[batch] = [_check_level(n) for n in range(1, 13)]
+        assert results[1] == results[5] == results[default]
+        return results[default]
+
+    assert all(not mismatches for _, mismatches in sweep())
+    monkeypatch.setattr("oddmaps.oddity.is_odd", lambda lam: (len(lam) == 2) != is_odd(lam))
+    monkeypatch.setattr(
+        "oddmaps.maps.remove_odd_hook",
+        lambda lam, k: lam if k == 0 and len(lam) % 3 == 0 else remove_odd_hook(lam, k),
+    )
+    faulty = sweep()
+    assert {m.k is None for _, mismatches in faulty for m in mismatches} == {True, False}
+
+
+def test_a_level_check_never_reads_far_ahead(monkeypatch):
+    # When the map is called on the i-th partition drawn from the level, at
+    # most i + _BATCH partitions have been drawn: no list as long as the
+    # level is built.
+    drawn = []
+    calls = []
+
+    def counting(n):
+        for lam in partitions_of(n):
+            drawn.append(lam)
+            yield lam
+
+    def recorder(lam, k):
+        calls.append((drawn.index(lam) + 1, len(drawn)))
+        return remove_odd_hook(lam, k)
+
+    monkeypatch.setattr("oddmaps.oracle.partitions_of", counting)
+    monkeypatch.setattr("oddmaps.maps.remove_odd_hook", recorder)
+    monkeypatch.setattr("oddmaps.oracle._BATCH", 4)
+    checks, mismatches = _check_level(12)
+    assert not mismatches and len(drawn) == 77
+    assert len(calls) == checks - 77
+    assert all(read <= i + 4 for i, read in calls), calls
 
 
 def test_an_oracle_failure_is_that_checks_mismatch(monkeypatch):
