@@ -35,9 +35,10 @@ against the filter over all partitions in ``reference``.
 
 Goodness is decided on bead masks too: :func:`_good` takes a mask and its
 size, such as a runner of a larger mask, peels it for oddness and reads
-its 2^d-core from the runner bead counts as a mask, so :func:`d_good` and
-the fiber-size formula of ``maps`` decode a partition only to report a
-broken invariant.
+its 2^d-core from the runner bead counts as a mask, so the fiber-size
+formula of ``maps`` decodes a partition only to report a broken invariant.
+Goodness of a partition, as defined, is ``reference.d_good``, which the
+tests call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "DnkDecomposition",
     "is_odd",
     "odd_partitions",
-    "d_good",
     "dnk",
 ]
 
@@ -170,20 +170,13 @@ def odd_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(map(_partition_from_mask, _level(n)))
 
 
-def d_good(lam: Partition, d: int) -> bool:
-    """Goodness at depth d: size congruent to 2^d - 1 mod 2^(d+1), and the
-    2^d-core is a hook partition. Defined for odd partitions only. Decided
-    on the bead mask of ``lam`` by :func:`_good`."""
-    if d < 0:
-        raise ValueError("depth must be non-negative")
-    return _good(_bead_mask(lam), lam.size, d)
-
-
 def _good(x: int, size: int, d: int) -> bool:
-    """:func:`d_good` of the partition of ``size`` whose bead mask is ``x``,
-    with any padding, for d >= 0. The oddness comes from the peel, the core
-    from the runner bead counts (``quotient._core``), and the core is tested
-    for a hook on its mask; the mask is decoded only to report a failure."""
+    """Goodness at depth d >= 0 of the odd partition of ``size`` whose bead
+    mask is ``x``, with any padding: size congruent to 2^d - 1 mod 2^(d+1),
+    and the 2^d-core a hook partition. The oddness comes from the peel, the
+    core from the runner bead counts (``quotient._core``), and the core is
+    tested for a hook on its mask; the mask is decoded only to report a
+    failure."""
     if not _peels(x, size):
         raise ValueError("d-good is defined for odd partitions")
     # Once 2^d > size + 1, size < 2^d - 1 is its own residue mod 2^(d+1),

@@ -45,7 +45,11 @@ with different numbers of parts and so at different paddings. Each level of
 ``cross_validate`` keeps one dict from a shape's unpadded mask (its low run
 of set bits, the beads of parts 0, shifted out) to its degree parity, so
 every shape's degree is tested once per level whatever its padding. The
-dict is local to the level: nothing is cached between levels or calls.
+dict is local to the level, so no shape's parity outlives its level. The
+one cache that lasts between levels and calls is :func:`_width_tables`, a
+process-wide ``lru_cache`` with one entry per mask bit width: the gaps and
+selectors of the degree test, which depend on the width alone and name no
+shape.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ class ParityReport(namedtuple("ParityReport", "n_max checks_run mismatches")):
     """
 
     __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
 
 def _mask_of(parts: tuple[int, ...], m: int) -> int:
@@ -187,9 +187,10 @@ def skew_syt_parity(lam: Partition, mu: Partition) -> int:
     only the set of shapes reached by an odd number of paths. It walks one
     box at a time even where dominoes would do: it is the definition the
     domino walk of :func:`unique_odd_constituent` is tested against. Both
-    shapes are bead masks with len(lam) beads.
+    shapes are bead masks with len(lam) beads. ``mu`` must fit inside
+    ``lam``: no more parts, and no part longer than lam's.
     """
-    if not lam.contains(mu):
+    if len(mu) > len(lam) or any(a > b for a, b in zip(mu.parts, lam.parts)):
         raise ValueError("not a subdiagram")
     m = len(lam)
     frontier = {_mask_of(lam.parts, m)}
@@ -288,8 +289,9 @@ def _check_level(n: int) -> tuple[int, list[Mismatch]]:
     the same shapes again and again, so the level keeps one memo of their
     degree parities (see :func:`_odd_survivor`) and tests each shape once.
     The memo is the one thing that outlives a batch, and it is local: it
-    dies with the call, so no level holds another's shapes and a worker
-    process carries nothing from one level to the next.
+    dies with the call, so no level holds another's shapes. What a worker
+    process carries from one level to the next is only the entries of
+    :func:`_width_tables`, one per mask bit width it has tested.
     """
     # Imports deferred so the oracle itself stays free of tower machinery.
     from .maps import remove_odd_hook

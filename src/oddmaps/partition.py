@@ -10,18 +10,19 @@ beads, which :func:`_bead_mask` encodes from a partition and
 :func:`_partition_from_mask` decodes back, so a slide is one XOR and a
 partition is built once, at the end; :func:`_mask_size` reads a mask's
 size without building it. A partition is encoded at most once: the first
-encoding is kept on it, a memo of its parts like ``conjugate``, and later
-ones only pad it. A decoded partition does not store its mask,
-since most decoded answers are rendered and never encoded again.
-The beta-set as a tuple, the hook-length table and the degree valuation
-by Frobenius's formula are second routes that the tests check the masks
+encoding is kept on it and later ones only pad it. That mask and the
+oddness verdict that ``oddity.is_odd`` keeps are the only memos a
+partition holds. A decoded partition does not store its mask, since most
+decoded answers are rendered and never encoded again. The beta-set as a
+tuple, the conjugate, the hook-length table and the degree valuation by
+Frobenius's formula are second routes that the tests check the masks
 against; they live in ``reference``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from itertools import accumulate
 from operator import index, lt
 
@@ -80,23 +81,6 @@ class Partition:
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.parts)) + "]"
 
-    @cached_property
-    def conjugate(self) -> "Partition":
-        """The transposed diagram (column lengths)."""
-        if not self.parts:
-            return self
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
-
-    def contains(self, other: "Partition") -> bool:
-        """Cellwise containment: ``other`` fits inside this Young diagram."""
-        if len(other) > len(self.parts):
-            return False
-        return all(o <= s for o, s in zip(other.parts, self.parts))
-
 
 def nu2(n: int) -> int:
     """Exponent of the largest power of 2 dividing n (n >= 1)."""
@@ -141,14 +125,12 @@ def _partition_from_mask(x: int) -> Partition:
     """The partition of the bead mask ``x``, with any padding.
 
     A bead's part is the number of free positions below it. The padding is
-    the low run of set bits, whose parts are 0, so it is dropped first.
-    Split top bit first, the binary string gives the gaps above each bead;
-    taken from the last, the gaps below the lowest bead, they sum to the
-    parts, which come out positive and increasing.
+    the low run of set bits, whose parts are 0, so it is dropped first; a
+    mask of padding alone leaves no gaps and gives (). Split top bit first,
+    the binary string gives the gaps above each bead; taken from the last,
+    the gaps below the lowest bead, they sum to the parts, which come out
+    positive and increasing.
     """
-    if not x & (x + 1):
-        # All padding, as on most runners of a large e: the empty partition.
-        return _trusted_partition(())
     gaps = bin(x).rstrip("1").split("1")[:0:-1]
     return _trusted_partition(tuple(accumulate(map(len, gaps)))[::-1])
 

@@ -25,9 +25,12 @@ It also holds, in their textbook forms, the primitives that production
 computes on its one bead format, the bead mask:
 
 - the beta-set as a tuple and its inverse (:func:`beta_set`,
-  :func:`partition_from_beta`), the hook-length table
-  (:func:`hook_lengths`) and the hook-shape test
+  :func:`partition_from_beta`), the conjugate (:func:`conjugate`), the
+  hook-length table (:func:`hook_lengths`) and the hook-shape test
   (:func:`is_hook_partition`);
+- goodness at depth d of a partition (:func:`d_good`), as defined, which
+  production decides on bead masks (``oddity._good``) inside the
+  fiber-size formula;
 - the degree valuation by Frobenius's formula on beta numbers
   (:func:`nu2_degree`), a second route beside the oracle's valuation on
   masks;
@@ -47,15 +50,17 @@ from collections import namedtuple
 from collections.abc import Iterable
 from operator import add, index
 
-from .oddity import is_odd
+from .oddity import _good, is_odd
 from .partition import Partition, _bead_mask, _partition_from_mask, partitions_of
 from .quotient import KData, _core, _from_runners, _pushed_up, _runners, k_data
 
 __all__ = [
     "beta_set",
     "partition_from_beta",
+    "conjugate",
     "hook_lengths",
     "is_hook_partition",
+    "d_good",
     "nu2_degree",
     "CoreQuotient",
     "core_and_quotient",
@@ -123,9 +128,20 @@ def partition_from_beta(beta: Iterable[int]) -> Partition:
     return _partition_from_mask(sum(1 << b for b in beta))
 
 
+def conjugate(lam: Partition) -> Partition:
+    """The transposed diagram (column lengths)."""
+    if not lam.parts:
+        return lam
+    cols = [0] * lam.parts[0]
+    for p in lam.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(cols)
+
+
 def hook_lengths(lam: Partition) -> list[list[int]]:
     """Hook length of every cell, row by row."""
-    conj = lam.conjugate.parts
+    conj = conjugate(lam).parts
     return [
         [(row - (j + 1)) + (conj[j] - (i + 1)) + 1 for j in range(row)]
         for i, row in enumerate(lam.parts)
@@ -135,6 +151,15 @@ def hook_lengths(lam: Partition) -> list[list[int]]:
 def is_hook_partition(lam: Partition) -> bool:
     """True iff ``lam`` is empty or of the form (a, 1, 1, ..., 1)."""
     return all(p == 1 for p in lam.parts[1:])
+
+
+def d_good(lam: Partition, d: int) -> bool:
+    """Goodness at depth d: size congruent to 2^d - 1 mod 2^(d+1), and the
+    2^d-core is a hook partition. Defined for odd partitions only. Decided
+    on the bead mask of ``lam`` by ``oddity._good``."""
+    if d < 0:
+        raise ValueError("depth must be non-negative")
+    return _good(_bead_mask(lam), lam.size, d)
 
 
 def _nu2_degree_parts(parts: tuple[int, ...]) -> int:
@@ -249,7 +274,7 @@ def hooks_of_length(lam: Partition, length: int) -> list[Hook]:
     """All hooks of ``lam`` with the given exact length, in row-major order."""
     if length < 1:
         raise ValueError("hook lengths are positive")
-    conj = lam.conjugate.parts
+    conj = conjugate(lam).parts
     found = []
     for i, row in enumerate(lam.parts):
         for j in range(row):
@@ -269,7 +294,7 @@ def remove_hook(lam: Partition, hook: Hook) -> Partition:
     if not (1 <= hook.row <= len(lam)) or not (1 <= hook.col <= lam[hook.row - 1]):
         raise ValueError("not a hook of this partition")
     arm = lam[hook.row - 1] - hook.col
-    leg = lam.conjugate[hook.col - 1] - hook.row
+    leg = conjugate(lam)[hook.col - 1] - hook.row
     if arm != hook.arm or leg != hook.leg:
         raise ValueError("not a hook of this partition")
     beta = list(beta_set(lam))

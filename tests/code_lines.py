@@ -1,10 +1,13 @@
-"""Code lines of each module of the package, and the production total.
+"""Code lines of each module of the package, and the production and
+verification totals.
 
 A code line is a line that holds a token of code: blank lines, comments
 and docstrings (module, class and function) are not counted, and a
-statement spread over several lines counts each of them. The total is
-over the production modules; it leaves out the verification layer
-(``oracle`` and ``reference``) and the ``python -m`` entry point.
+statement spread over several lines counts each of them. Production is
+``partition``, ``quotient``, ``oddity``, ``maps``, ``cli`` and the package
+root; the verification layer is ``oracle`` and ``reference``. Each has
+its own total, so a move between the layers shows on both lines. The
+``python -m`` entry point is in neither.
 
 Run from the repository root: ``python tests/code_lines.py``.
 """
@@ -15,7 +18,10 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oddmaps"
-PRODUCTION = {"__init__", "partition", "quotient", "oddity", "maps", "cli"}
+LAYERS = {
+    "production": {"__init__", "partition", "quotient", "oddity", "maps", "cli"},
+    "verification": {"oracle", "reference"},
+}
 NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -46,15 +52,15 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    total = 0
+    totals = dict.fromkeys(LAYERS, 0)
     for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text())
-        if path.stem in PRODUCTION:
-            total += count
-            print(f"{path.stem:<12} {count:>5}")
-        else:
-            print(f"{path.stem:<12} {count:>5}  not in total")
-    print(f"{'production':<12} {total:>5}")
+        layer = next((name for name, stems in LAYERS.items() if path.stem in stems), None)
+        if layer:
+            totals[layer] += count
+        print(f"{path.stem:<12} {count:>5}  {layer or 'in no total'}")
+    for layer, total in totals.items():
+        print(f"{layer:<12} {total:>5}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """The package's boundaries: what the root exports, what the oracle imports,
-and that production never imports the reference routes."""
+that production never imports the reference routes, and that every
+function and class member of production and the oracle has a caller there."""
 
 import ast
 import subprocess
 import sys
+from collections.abc import Collection
 from pathlib import Path
 
 import oddmaps
@@ -37,8 +39,12 @@ ROOT_API = {
     "cross_validate",
 }
 
-# The modules that compute answers; second routes live in oddmaps.reference.
-PRODUCTION = (
+# The modules the boundary pins cover. Production is partition, quotient,
+# oddity, maps, cli and the package root, which holds only the exports and
+# their loader and so counts here as a reader only. The verification layer
+# is oracle and reference: the pins cover the oracle, which ``oddmaps
+# verify`` runs, and not reference, the second routes that only tests call.
+PINNED = (
     oddmaps.partition,
     oddmaps.quotient,
     oddmaps.oddity,
@@ -47,10 +53,9 @@ PRODUCTION = (
     oddmaps.oracle,
 )
 
-# Top-level functions of a production module that no production code calls,
+# Top-level functions of a pinned module that no production code calls,
 # each kept for the reason given.
 UNCALLED = {
-    "oddity.d_good": "goodness of a partition, as defined; production tests masks by _good",
     "oracle.unique_odd_constituent": "the oracle's value at one partition; the sweep walks levels",
     "oracle.skew_syt_parity": "the one-box definition that the oracle's domino walk is tested on",
 }
@@ -102,22 +107,24 @@ def test_oracle_shares_only_the_partition_type_and_enumeration():
 
 
 def test_production_never_imports_the_reference_routes():
-    imported = {m: _imported_names(ast.parse(Path(m.__file__).read_text())) for m in PRODUCTION}
+    imported = {m: _imported_names(ast.parse(Path(m.__file__).read_text())) for m in PINNED}
     for module, names in imported.items():
         assert not [name for name in names if "reference" in name], module
     assert "hooks_of_length" not in imported[oddmaps.quotient]
 
 
-def _loaded_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every name read in ``tree`` outside the subtree ``skip``."""
+def _reads(tree: ast.AST, skip: Collection[ast.AST] = (), attributes: bool = False) -> set[str]:
+    """Every name read in ``tree`` outside the subtrees ``skip``, or with
+    ``attributes`` every attribute read, such as ``m`` in ``x.m``."""
+    kind, field = (ast.Attribute, "attr") if attributes else (ast.Name, "id")
     names = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
+        if node in skip:
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+        if isinstance(node, kind) and isinstance(node.ctx, ast.Load):
+            names.add(getattr(node, field))
         stack.extend(ast.iter_child_nodes(node))
     return names
 
@@ -132,18 +139,23 @@ def _imported_from(tree: ast.AST, module: str) -> set[str]:
     }
 
 
-def test_every_production_function_is_exported_or_called_in_production():
-    # A function qualifies by being a root export, by being read in its own
-    # module outside its own body, or by being imported and read by another
-    # module of the package other than reference. Tests do not count.
-    trees = {
+def _package_trees() -> dict[str, ast.Module]:
+    """The parsed source of every module of the package except reference."""
+    return {
         path.stem: ast.parse(path.read_text())
         for path in Path(oddmaps.__file__).parent.glob("*.py")
         if path.stem != "reference"
     }
-    reads = {stem: _loaded_names(tree) for stem, tree in trees.items()}
+
+
+def test_every_production_function_is_exported_or_called_in_production():
+    # A function qualifies by being a root export, by being read in its own
+    # module outside its own body, or by being imported and read by another
+    # module of the package other than reference. Tests do not count.
+    trees = _package_trees()
+    reads = {stem: _reads(tree) for stem, tree in trees.items()}
     uncalled = set()
-    for module in PRODUCTION:
+    for module in PINNED:
         stem = module.__name__.rpartition(".")[2]
         tree = trees[stem]
         for node in tree.body:
@@ -151,7 +163,7 @@ def test_every_production_function_is_exported_or_called_in_production():
                 continue
             name = node.name
             exported = name in oddmaps.__all__ and getattr(oddmaps, name) is getattr(module, name)
-            called = name in _loaded_names(tree, skip=node) or any(
+            called = name in _reads(tree, skip={node}) or any(
                 name in reads[other] and name in _imported_from(trees[other], stem)
                 for other in trees
                 if other != stem
@@ -159,6 +171,35 @@ def test_every_production_function_is_exported_or_called_in_production():
             if not (exported or called):
                 uncalled.add(f"{stem}.{name}")
     assert uncalled == set(UNCALLED)
+
+
+def test_every_public_class_member_is_read_in_production():
+    # A public method or property (no leading underscore) of a class of a
+    # pinned module qualifies by being read as an attribute somewhere in the
+    # package other than reference, outside its own body and outside the
+    # allowlisted functions, which no production code calls. Dunders are
+    # the protocols Python calls. Tests do not count.
+    trees = _package_trees()
+    allowlisted = {
+        node
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and f"{stem}.{node.name}" in UNCALLED
+    }
+    unread = set()
+    for module in PINNED:
+        stem = module.__name__.rpartition(".")[2]
+        for cls in trees[stem].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    skip = allowlisted | {node}
+                    if not any(
+                        node.name in _reads(tree, skip, attributes=True) for tree in trees.values()
+                    ):
+                        unread.add(f"{cls.name}.{node.name}")
+    assert unread == set()
 
 
 def _cold_import(then: str) -> subprocess.CompletedProcess:

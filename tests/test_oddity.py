@@ -15,12 +15,13 @@ from oddmaps import (
     odd_partitions_by_filter,
     partitions_of,
 )
-from oddmaps.oddity import _known_odd_slides, _level, d_good
+from oddmaps.oddity import _known_odd_slides, _level
 from oddmaps.partition import _bead_mask
 from oddmaps.quotient import k_data
 from oddmaps.reference import (
     all_two_disjoint,
     core_tower,
+    d_good,
     e_core,
     e_quotient,
     hooks_of_length,
