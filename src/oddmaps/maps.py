@@ -238,7 +238,7 @@ def fiber_size_formula(mu: Partition, n: int, k: int) -> int:
     if d == 0:
         return 1 << k
     e = 1 << k
-    for r in _runners(_bead_mask(mu, -len(mu) % e), e):
+    for r in _runners(_bead_mask(mu), e):
         if _good(r, _mask_size(r), d):
             return 2
     return 0

@@ -35,7 +35,8 @@ against the filter over all partitions in ``reference``.
 
 Goodness is decided on bead masks too: :func:`_good` takes a mask and its
 size, such as a runner of a larger mask, peels it for oddness and reads
-its 2^d-core from the runner bead counts as a mask, so the fiber-size
+its 2^d-core as a mask from the bead counts of its 2^d runners
+(``quotient._runners``, ``quotient._pushed_up``), so the fiber-size
 formula of ``maps`` decodes a partition only to report a broken invariant.
 Goodness of a partition, as defined, is ``reference.d_good``, which the
 tests call.
@@ -47,7 +48,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .partition import Partition, _bead_mask, _mask_size, _partition_from_mask, nu2
-from .quotient import _core
+from .quotient import _pushed_up, _runners
 
 __all__ = [
     "DnkDecomposition",
@@ -174,16 +175,16 @@ def _good(x: int, size: int, d: int) -> bool:
     """Goodness at depth d >= 0 of the odd partition of ``size`` whose bead
     mask is ``x``, with any padding: size congruent to 2^d - 1 mod 2^(d+1),
     and the 2^d-core a hook partition. The oddness comes from the peel, the
-    core from the runner bead counts (``quotient._core``), and the core is
-    tested for a hook on its mask; the mask is decoded only to report a
-    failure."""
+    core from the runner bead counts (``quotient._pushed_up`` of
+    ``quotient._runners``), and the core is tested for a hook on its mask;
+    the mask is decoded only to report a failure."""
     if not _peels(x, size):
         raise ValueError("d-good is defined for odd partitions")
     # Once 2^d > size + 1, size < 2^d - 1 is its own residue mod 2^(d+1),
     # so the size condition fails; compared by bit length so no 2^d is built.
     if d >= (size + 1).bit_length() or size % (2 << d) != (1 << d) - 1:
         return False
-    core = _core(x, 1 << d)
+    core = _pushed_up(_runners(x, 1 << d), 1 << d)
     # A hook (a, 1, ..., 1) has parts of at most 1 below its first row:
     # below its top bead at most one position is free.
     below = core ^ (1 << core.bit_length() - 1) if core else 0

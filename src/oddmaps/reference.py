@@ -36,9 +36,8 @@ computes on its one bead format, the bead mask:
   masks;
 - the e-core and e-quotient of a partition in one pass over its runners,
   as the record :class:`CoreQuotient` (:func:`core_and_quotient`), and the
-  e-core, the e-quotient and the rebuild of a partition from them, as
-  partitions (:func:`e_core`, :func:`e_quotient`,
-  :func:`from_core_quotient`).
+  e-quotient and the rebuild of a partition from its e-core and e-quotient,
+  as partitions (:func:`e_quotient`, :func:`from_core_quotient`).
 
 The character-theory oracle in ``oracle`` checks the map independently of
 all of them.
@@ -52,7 +51,7 @@ from operator import add, index
 
 from .oddity import _good, is_odd
 from .partition import Partition, _bead_mask, _partition_from_mask, partitions_of
-from .quotient import KData, _core, _from_runners, _pushed_up, _runners, k_data
+from .quotient import KData, _from_runners, _pushed_up, _runners, k_data
 
 __all__ = [
     "beta_set",
@@ -64,7 +63,6 @@ __all__ = [
     "nu2_degree",
     "CoreQuotient",
     "core_and_quotient",
-    "e_core",
     "e_quotient",
     "from_core_quotient",
     "Hook",
@@ -213,8 +211,8 @@ def core_and_quotient(lam: Partition, e: int) -> CoreQuotient:
     """The e-core and e-quotient of ``lam`` in one pass over its runners."""
     if e < 1:
         raise ValueError("e must be at least 1")
-    runners = _runners(_bead_mask(lam, -len(lam) % e), e)
-    core = _partition_from_mask(_pushed_up([r.bit_count() for r in runners], e))
+    runners = _runners(_bead_mask(lam), e)
+    core = _partition_from_mask(_pushed_up(runners, e))
     return CoreQuotient(e=e, core=core, quotient=tuple(map(_partition_from_mask, runners)))
 
 
@@ -224,14 +222,6 @@ def _descend(
     """The 2-cores of one tower row and the row below it, one split per entry."""
     split = [core_and_quotient(p, 2) for p in entries]
     return tuple(cq.core for cq in split), tuple(q for cq in split for q in cq.quotient)
-
-
-def e_core(lam: Partition, e: int) -> Partition:
-    """The partition left after all hooks of length e are removed: the core
-    of :func:`core_and_quotient`, decoded alone."""
-    if e < 1:
-        raise ValueError("e must be at least 1")
-    return _partition_from_mask(_core(_bead_mask(lam), e))
 
 
 def e_quotient(lam: Partition, e: int) -> tuple[Partition, ...]:
@@ -252,7 +242,7 @@ def from_core_quotient(
     x = _bead_mask(core)
     if x >> e & ~x:
         raise ValueError("not an e-core")
-    counts = [r.bit_count() for r in _runners(_bead_mask(core, -len(core) % e), e)]
+    counts = [r.bit_count() for r in _runners(x, e)]
     # Padding by e more beads puts one more bead on every runner.
     extra = max(0, *(len(q) - c for c, q in zip(counts, quotient)))
     runners = [_bead_mask(q, c + extra - len(q)) for c, q in zip(counts, quotient)]

@@ -29,7 +29,12 @@ from oddmaps.oddity import _level, dnk
 from oddmaps.oracle import _check_level
 from oddmaps.partition import _bead_mask, _mask_size, _partition_from_mask
 from oddmaps.quotient import _runners
-from oddmaps.reference import e_core, e_quotient, from_core_quotient, is_hook_partition
+from oddmaps.reference import (
+    core_and_quotient,
+    e_quotient,
+    from_core_quotient,
+    is_hook_partition,
+)
 
 P = Partition
 
@@ -429,7 +434,8 @@ def test_fiber_size_formula_matches_its_definition_on_decoded_quotients():
                 components = e_quotient(mu, 1 << k)
                 assert all(map(is_odd, components)), (mu, k)
                 good = any(
-                    p.size % (2 << d) == (1 << d) - 1 and is_hook_partition(e_core(p, 1 << d))
+                    p.size % (2 << d) == (1 << d) - 1
+                    and is_hook_partition(core_and_quotient(p, 1 << d).core)
                     for p in components
                 )
                 assert fiber_size_formula(mu, n, k) == (2 if good else 0), (mu, n, k)

@@ -20,9 +20,9 @@ from oddmaps.partition import _bead_mask
 from oddmaps.quotient import k_data
 from oddmaps.reference import (
     all_two_disjoint,
+    core_and_quotient,
     core_tower,
     d_good,
-    e_core,
     e_quotient,
     hooks_of_length,
     is_hook_partition,
@@ -262,7 +262,7 @@ def test_d_good_core_size():
         for lam in odd_partitions(n):
             for d in range(4):
                 if d_good(lam, d):
-                    assert e_core(lam, 1 << d).size == (1 << d) - 1
+                    assert core_and_quotient(lam, 1 << d).core.size == (1 << d) - 1
 
 
 def test_d_good_matches_its_definition_at_every_depth():
@@ -271,7 +271,8 @@ def test_d_good_matches_its_definition_at_every_depth():
         for lam in odd_partitions(n):
             for d in range(7):
                 size_ok = n % (2 << d) == (1 << d) - 1
-                assert d_good(lam, d) == (size_ok and is_hook_partition(e_core(lam, 1 << d)))
+                core = core_and_quotient(lam, 1 << d).core
+                assert d_good(lam, d) == (size_ok and is_hook_partition(core))
     assert [d_good(P((3,)), d) for d in range(5)] == [False, False, True, False, False]
 
 

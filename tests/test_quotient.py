@@ -4,11 +4,11 @@ import pytest
 
 from helpers import random_partition
 from oddmaps import Partition, k_data, partitions_of, quotient
-from oddmaps.quotient import KData
+from oddmaps.partition import _bead_mask, _partition_from_mask
+from oddmaps.quotient import KData, _from_runners, _runners
 from oddmaps.reference import (
     core_and_quotient,
     core_tower,
-    e_core,
     e_quotient,
     from_core_quotient,
     hook_lengths,
@@ -24,7 +24,7 @@ CALIBRATION = P((5, 4, 2, 2, 1, 1))
 
 def test_quotient_convention_calibration():
     # Pins the beta-set convention; both tower rows must come out in this order.
-    assert e_core(CALIBRATION, 2) == P((1,))
+    assert core_and_quotient(CALIBRATION, 2).core == P((1,))
     assert e_quotient(CALIBRATION, 2) == (P((2, 2, 1, 1)), P((1,)))
     assert e_quotient(P((2, 2, 1, 1)), 2) == (P((1, 1)), P((1,)))
     assert e_quotient(P((1,)), 2) == (P(()), P(()))
@@ -33,23 +33,45 @@ def test_quotient_convention_calibration():
 
 
 def test_e_core_examples():
-    assert e_core(P((2, 2)), 2) == P(())
-    assert e_core(P((1,)), 2) == P((1,))
-    assert e_core(P(()), 3) == P(())
+    assert core_and_quotient(P((2, 2)), 2).core == P(())
+    assert core_and_quotient(P((1,)), 2).core == P((1,))
+    assert core_and_quotient(P(()), 3).core == P(())
 
 
-def test_e_core_is_the_core_of_core_and_quotient():
+def test_core_is_what_removing_e_hooks_leaves():
+    # A route on the diagram that shares no runner code: remove e-hooks one
+    # at a time until none is left.
     for n in range(17):
         for lam in partitions_of(n):
             for e in range(1, 7):
-                assert e_core(lam, e) == core_and_quotient(lam, e).core, (lam, e)
+                core = lam
+                while hooks := hooks_of_length(core, e):
+                    core = remove_hook(core, hooks[0])
+                assert core_and_quotient(lam, e).core == core, (lam, e)
+
+
+def test_runners_apply_the_quotient_convention_at_any_padding():
+    # The runners of a mask are the quotient components, whatever padding
+    # the mask carries; joined again they give the mask padded to a
+    # multiple of e beads.
+    for n in range(13):
+        for lam in partitions_of(n):
+            for e in range(1, 6):
+                quotient = core_and_quotient(lam, e).quotient
+                for pad in range(2 * e):
+                    runners = _runners(_bead_mask(lam, pad), e)
+                    assert tuple(map(_partition_from_mask, runners)) == quotient, (lam, e, pad)
+    for e in range(1, 6):
+        for x in range(1 << 12):
+            pad = -x.bit_count() % e
+            assert _from_runners(_runners(x, e), e) == x << pad | ((1 << pad) - 1), (x, e)
 
 
 def test_e_core_has_no_e_hooks():
     for n in range(15):
         for lam in partitions_of(n):
             for e in (2, 3, 5):
-                assert not hooks_of_length(e_core(lam, e), e)
+                assert not hooks_of_length(core_and_quotient(lam, e).core, e)
 
 
 def test_from_core_quotient_examples():
@@ -109,12 +131,12 @@ def test_hook_bijection():
 def test_hook_removal_compatibility():
     for n in range(2, 19):
         for lam in partitions_of(n):
-            core = e_core(lam, 2)
+            core = core_and_quotient(lam, 2).core
             quot = e_quotient(lam, 2)
             for length in range(2, n + 1, 2):
                 for h in hooks_of_length(lam, length):
                     mu = remove_hook(lam, h)
-                    assert e_core(mu, 2) == core
+                    assert core_and_quotient(mu, 2).core == core
                     q2 = e_quotient(mu, 2)
                     diffs = [i for i in range(2) if q2[i] != quot[i]]
                     assert len(diffs) == 1
