@@ -26,8 +26,8 @@ from .maps import (
     remove_odd_hook,
 )
 from .oddity import dnk, is_odd, odd_partitions
-from .oracle import cross_validate
-from .partition import Partition, partitions_of
+from .oracle import cross_validate, partitions_of
+from .partition import Partition
 from .quotient import k_data
 
 __version__ = "0.1.0"

@@ -1,5 +1,4 @@
-"""Partition arithmetic: the partition value, its bead mask, the
-enumeration of partitions, and nu2.
+"""Partition arithmetic: the partition value, its bead mask, and nu2.
 
 Partitions are weakly decreasing tuples of positive integers; the empty
 partition is a first-class value. A beta-set holds the first-column hook
@@ -16,7 +15,9 @@ partition holds. A decoded partition does not store its mask, since most
 decoded answers are rendered and never encoded again. The beta-set as a
 tuple, the conjugate, the hook-length table and the degree valuation by
 Frobenius's formula are second routes that the tests check the masks
-against; they live in ``reference``.
+against; they live in ``reference``. The enumeration of all partitions of
+n belongs to the oracle, its main reader, which shares only the
+:class:`Partition` type with this module.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from operator import index, lt
 __all__ = [
     "Partition",
     "nu2",
-    "partitions_of",
 ]
 
 
@@ -89,19 +89,6 @@ def nu2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _trusted_partition(parts: tuple[int, ...]) -> Partition:
-    """The :class:`Partition` of ``parts``, a tuple of ints the library
-    built weakly decreasing and positive, without re-checking it.
-
-    Its callers are in this module only: the enumeration and the mask
-    decoder. The oracle builds what it decodes through the checked
-    constructor, so it shares no unchecked path with the code it checks."""
-    lam = Partition.__new__(Partition)
-    lam.parts = parts
-    lam.size = sum(parts)
-    return lam
-
-
 def _bead_mask(lam: Partition, pad: int = 0) -> int:
     """The bead mask of ``reference.beta_set(lam, len(lam) + pad)``: the
     int whose bit b is set iff b is a bead. Padding shifts every bead up
@@ -130,9 +117,17 @@ def _partition_from_mask(x: int) -> Partition:
     the binary string gives the gaps above each bead; taken from the last,
     the gaps below the lowest bead, they sum to the parts, which come out
     positive and increasing.
+
+    Reversed, the parts are weakly decreasing and positive by construction,
+    so the instance is built without :class:`Partition`'s checks, which
+    would only test again, on most of the answers production returns, what
+    the decode guarantees.
     """
     gaps = bin(x).rstrip("1").split("1")[:0:-1]
-    return _trusted_partition(tuple(accumulate(map(len, gaps)))[::-1])
+    lam = Partition.__new__(Partition)
+    lam.parts = tuple(accumulate(map(len, gaps)))[::-1]
+    lam.size = sum(lam.parts)
+    return lam
 
 
 def _mask_size(x: int) -> int:
@@ -149,48 +144,3 @@ def _mask_size(x: int) -> int:
         x ^= low
         total += low.bit_length() - 1
     return total
-
-
-def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n in descending lexicographic order.
-
-    Zoghbi and Stojmenović's ZS1 (Int. J. Comput. Math. 70 (1998) 319-332),
-    in constant amortised time per partition: ``x`` holds the parts padded
-    with 1s to length n, ``m`` is the number of parts and ``h`` the index of
-    the last part above 1. Every step lowers x[h] by one and refills the
-    parts after it greedily with that value, so the trailing 1s are never
-    rescanned; a part of 2 becomes a 1 and one more part.
-    """
-    n = index(n)
-    if n < 0:
-        raise ValueError("partitions are defined for non-negative integers")
-    if n == 0:
-        yield _trusted_partition(())
-        return
-    x = [1] * n
-    x[0] = n
-    m = 1
-    h = 0
-    yield _trusted_partition((n,))
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            h -= 1
-            m += 1
-        else:
-            r = x[h] - 1
-            # The amount freed: one from x[h] and the m - 1 - h trailing 1s.
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield _trusted_partition(tuple(x[:m]))

@@ -18,8 +18,8 @@ another way, straight from the definitions:
   single cell from one entry of quotient row k and rebuilds the partition
   from its k-data (:func:`remove_odd_hook_via_tower`,
   :func:`partition_from_kdata`);
-- the odd partitions of n as a filter over all partitions of n
-  (:func:`odd_partitions_by_filter`).
+- the odd partitions of n as a filter over all partitions of n, listed
+  by the oracle's ZS1 (:func:`odd_partitions_by_filter`).
 
 It also holds, in their textbook forms, the primitives that production
 computes on its one bead format, the bead mask:
@@ -50,7 +50,8 @@ from collections.abc import Iterable
 from operator import add, index
 
 from .oddity import _good, is_odd
-from .partition import Partition, _bead_mask, _partition_from_mask, partitions_of
+from .oracle import partitions_of
+from .partition import Partition, _bead_mask, _partition_from_mask
 from .quotient import KData, _from_runners, _pushed_up, _runners, k_data
 
 __all__ = [

@@ -90,9 +90,11 @@ def test_oracle_never_imports_the_quotient_machinery():
     assert top_level_relative == {"partition"}
 
 
-def test_oracle_shares_only_the_partition_type_and_enumeration():
-    # The oracle builds what it decodes through the checked constructor, so
-    # the unchecked one stays inside the partition module.
+def test_oracle_shares_only_the_partition_type():
+    # The oracle lists partitions by its own ZS1 and builds each one itself,
+    # so it shares only the Partition type with production. A partition is
+    # built without its checks in two places only: the partition module's
+    # mask decoder and the oracle's enumeration.
     tree = ast.parse(Path(oddmaps.oracle.__file__).read_text())
     from_partition = [
         alias.name
@@ -100,10 +102,13 @@ def test_oracle_shares_only_the_partition_type_and_enumeration():
         if isinstance(node, ast.ImportFrom) and node.level and node.module == "partition"
         for alias in node.names
     ]
-    assert sorted(from_partition) == ["Partition", "partitions_of"]
-    for path in Path(oddmaps.__file__).parent.glob("*.py"):
-        if path.name != "partition.py":
-            assert "_trusted_partition" not in path.read_text(), path.name
+    assert from_partition == ["Partition"]
+    unchecked = {
+        path.name
+        for path in Path(oddmaps.__file__).parent.glob("*.py")
+        if "Partition.__new__" in path.read_text()
+    }
+    assert unchecked == {"partition.py", "oracle.py"}
 
 
 def test_production_never_imports_the_reference_routes():

@@ -276,6 +276,18 @@ def test_d_good_matches_its_definition_at_every_depth():
     assert [d_good(P((3,)), d) for d in range(5)] == [False, False, True, False, False]
 
 
+def test_d_good_names_its_input_when_a_core_invariant_fails(monkeypatch):
+    # At d <= 2 the size condition forces a hook core: a non-hook core,
+    # here the mask of (2, 2), breaks that.
+    monkeypatch.setattr("oddmaps.oddity._pushed_up", lambda runners, e: 0b1100)
+    with pytest.raises(RuntimeError, match=r"core condition failed for d=1 on \[1\]"):
+        d_good(P((1,)), 1)
+    # A hook core must have size 2^d - 1: the mask of (1) has size 1, not 7.
+    monkeypatch.setattr("oddmaps.oddity._pushed_up", lambda runners, e: 0b10)
+    with pytest.raises(RuntimeError, match=r"good partition \[7\] has 2\^3-core of wrong size"):
+        d_good(P((7,)), 3)
+
+
 def test_d_good_at_a_huge_depth_returns_false_without_building_2_to_the_d():
     tracemalloc.start()
     try:

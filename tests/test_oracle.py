@@ -13,6 +13,7 @@ from oddmaps.oracle import (
     _frontiers,
     _mask_of,
     _nu2_degree_mask,
+    _odd_survivor,
     _parts_of,
     _toggle_step,
     _width_tables,
@@ -134,6 +135,8 @@ def test_unique_odd_constituent_rejects_bad_input():
         unique_odd_constituent(P((2, 1)), 0)
     with pytest.raises(ValueError, match="2\\^k"):
         unique_odd_constituent(P((3, 1)), 2)
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        unique_odd_constituent(P((3, 1)), -1)
 
 
 def test_unique_odd_constituent_bound_is_exact_without_building_2_to_the_k():
@@ -421,6 +424,12 @@ def test_a_level_check_never_reads_far_ahead(monkeypatch):
     assert not mismatches and len(drawn) == 77
     assert len(calls) == checks - 77
     assert all(read <= i + 4 for i, read in calls), calls
+
+
+def test_odd_survivor_names_its_input_when_no_survivor_is_left():
+    with pytest.raises(RuntimeError) as info:
+        _odd_survivor(P((3,)), 0, set(), {})
+    assert str(info.value) == "[3] at k=0: 0 odd constituents with odd parity"
 
 
 def test_an_oracle_failure_is_that_checks_mismatch(monkeypatch):

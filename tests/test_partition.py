@@ -44,6 +44,12 @@ def test_ordering_and_rendering():
     assert str(P((5, 4, 2, 2, 1, 1))) == "[5,4,2,2,1,1]"
     assert str(P(())) == "[]"
     assert repr(P((2, 1))) == "Partition((2, 1))"
+    assert list(P((3, 1))) == [3, 1]
+    # A partition is not the tuple of its parts, and does not order with one.
+    assert P((1,)) != (1,)
+    assert P((1,)).__eq__((1,)) is NotImplemented
+    with pytest.raises(TypeError):
+        P((1,)) < (1,)
 
 
 def test_conjugate():
@@ -214,6 +220,8 @@ def test_partitions_of_enumeration():
         assert ps == sorted(ps, reverse=True)
         assert len(set(ps)) == len(ps)
         assert all(p.size == n for p in ps)
+        # The oracle builds each listed partition without the checks.
+        assert all(type(p) is P and vars(p) == vars(P(p.parts)) for p in ps)
     with pytest.raises(ValueError):
         list(partitions_of(-1))
     # A generator: the checks run on the first step, inside pytest.raises.
